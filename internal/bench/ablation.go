@@ -50,14 +50,9 @@ func planPair(phys string, n int64) (*part.File, *part.File, error) {
 	return part.MustFile(0, pp), part.MustFile(0, rp), nil
 }
 
-// RunPlanAblation measures every (size, layout) configuration. A
+// RunPlanAblationObs measures every (size, layout) configuration. A
 // workers value < 1 selects the CompilePlan default (GOMAXPROCS).
-func RunPlanAblation(sizes []int64, workers int) ([]PlanAblationRow, error) {
-	return RunPlanAblationObs(sizes, workers, nil, nil)
-}
-
-// RunPlanAblationObs is RunPlanAblation with observability: every
-// compile records into reg (compile latency histogram, seq/par
+// Every compile records into reg (compile latency histogram, seq/par
 // counters, segment counts) and parents its wall-clock span under
 // trace; the per-configuration plan cache reports its hit/miss
 // counters into reg too. Both may be nil.

@@ -19,8 +19,8 @@ import (
 )
 
 // throughput.go measures the data path over loopback TCP: large
-// segment operations through the monolithic (proto v2, one frame per
-// op) wire path versus the chunked streamed path (proto v3), plus the
+// segment operations as monolithic unary frames (one frame per op,
+// streaming off) versus chunked streams, plus the
 // end-to-end redistribution through each transport. The report backs
 // the checked-in BENCH record and the -json mode of cmd/redistbench.
 
@@ -376,9 +376,9 @@ func RunThroughput(opts ThroughputOptions) (*ThroughputReport, error) {
 		Short:      opts.Short,
 	}
 
-	// Wire ablation: identical ops, monolithic v2 frames vs chunked v3
-	// streams.
-	mono := rpc.ClientConfig{ProtoVersion: rpc.ProtoVersion2, MaxFrame: 2 * opts.OpBytes}
+	// Wire ablation: identical ops, one monolithic unary frame per
+	// transfer vs chunked streams.
+	mono := rpc.ClientConfig{StreamThreshold: -1, MaxFrame: 2 * opts.OpBytes}
 	streamed := rpc.ClientConfig{ChunkSize: opts.ChunkSize, StreamThreshold: 1}
 	for _, m := range []struct {
 		name string

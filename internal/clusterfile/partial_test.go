@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"parafile/internal/falls"
+	"parafile/internal/redist"
 )
 
 // partial_test.go pins down the partial-failure vocabulary: the
@@ -237,5 +240,44 @@ func TestChecksumRange(t *testing.T) {
 	}
 	if sum, err := ChecksumRange(st, 5, 0); err != nil || sum != 0 {
 		t.Errorf("empty window = (%d, %v), want (0, nil)", sum, err)
+	}
+}
+
+// failFirstWrite is a store whose first WriteAt fails.
+type failFirstWrite struct {
+	Storage
+	writes int
+}
+
+var errFirstWrite = errors.New("first write fails")
+
+func (f *failFirstWrite) WriteAt(p []byte, off int64) error {
+	f.writes++
+	if f.writes == 1 {
+		return errFirstWrite
+	}
+	return f.Storage.WriteAt(p, off)
+}
+
+// TestScatterRangeReportsFirstError: a scatter whose first write fails
+// returns that error, even though the projection's later periods would
+// have written cleanly.
+func TestScatterRangeReportsFirstError(t *testing.T) {
+	mem, err := MemStorageFactory("f", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.EnsureLen(32); err != nil {
+		t.Fatal(err)
+	}
+	st := &failFirstWrite{Storage: mem}
+	// Bytes {0,1} and {4,5} of every 8, over four periods: 16 bytes.
+	p := &redist.Projection{Set: falls.Set{falls.MustLeaf(0, 1, 4, 2)}, Period: 8, Bytes: 4}
+	err = ScatterRange(st, make([]byte, 16), p, 0, 31)
+	if !errors.Is(err, errFirstWrite) {
+		t.Fatalf("ScatterRange = %v, want the first write's error", err)
+	}
+	if st.writes != 1 {
+		t.Fatalf("%d writes after the first one failed, want none", st.writes-1)
 	}
 }

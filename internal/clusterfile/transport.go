@@ -68,7 +68,7 @@ type Transport interface {
 	// Open prepares one handle per subfile. assign maps each subfile
 	// index to its I/O node.
 	Open(ctx context.Context, name string, phys *part.File, assign []int) ([]SubfileHandle, error)
-	// Close releases transport-level resources (connection pools).
+	// Close releases transport-level resources (connections).
 	Close() error
 }
 

@@ -20,8 +20,8 @@ import (
 // through the clusterfile collective protocol against the placement's
 // data daemons. When a daemon answers ErrStalePlacement — the file was
 // rebalanced under the client — the client refetches the map from the
-// service, retires pooled connections to nodes that left the
-// placement, reopens the new generation and retries transparently.
+// service, retires connections to nodes that left the placement,
+// reopens the new generation and retries transparently.
 
 // Options configures Dial.
 type Options struct {
@@ -85,7 +85,7 @@ func Dial(addr string, opts Options) *FS {
 	return fs
 }
 
-// Close releases the metadata connection pool.
+// Close releases the metadata connections.
 func (fs *FS) Close() error { return fs.md.Close() }
 
 // List returns the namespace.
@@ -308,7 +308,7 @@ func (f *File) Length() int64 {
 	return f.mf.Length
 }
 
-// Close drops the data-daemon connection pools. The daemons' stores
+// Close drops the data-daemon connections. The daemons' stores
 // stay open — names are shared state owned by the metadata service,
 // not by any one client.
 func (f *File) Close() error {

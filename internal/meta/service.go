@@ -15,13 +15,12 @@ import (
 	"parafile/internal/rpc"
 )
 
-// service.go is the parafilemd daemon: a small TCP loop speaking the
-// storage wire's framing (length-prefixed frames, hello negotiation,
-// MsgError) but answering the namespace/placement messages instead of
-// the data-path ones. It caps the negotiated protocol at v2 — the
-// metadata exchanges are tiny unary round-trips, so the v3 mux buys
-// nothing; a default (v3-wanting) client falls back to classic pooled
-// connections on its own.
+// service.go is the parafilemd daemon. It serves its connections
+// through the data daemons' connection loop (rpc.ServeConn: the hello,
+// multiplexed streams, concurrent unary dispatch) but answers the
+// namespace/placement messages instead of the data-path ones, so
+// metadata clients and the group's replication traffic each ride one
+// multiplexed connection per node.
 
 // DefaultStripeBytes is the striping unit a create without an explicit
 // stripe gets: subfile s holds bytes [s*W, (s+1)*W) of each period.
@@ -50,8 +49,8 @@ type ServiceConfig struct {
 
 // Service serves the metadata protocol on accepted connections.
 type Service struct {
-	cfg    ServiceConfig
-	maxVer byte
+	cfg ServiceConfig
+	ep  rpc.Endpoint
 
 	mu       sync.Mutex
 	conns    map[net.Conn]struct{}
@@ -69,10 +68,10 @@ func NewService(cfg ServiceConfig) *Service {
 		cfg.MaxFrame = rpc.DefaultMaxFrame
 	}
 	s := &Service{
-		cfg:    cfg,
-		maxVer: rpc.ProtoVersion2,
-		conns:  make(map[net.Conn]struct{}),
+		cfg:   cfg,
+		conns: make(map[net.Conn]struct{}),
 	}
+	s.ep = rpc.Endpoint{MaxFrame: cfg.MaxFrame, Grant: s.grant, Unary: s.unary}
 	if reg := cfg.Metrics; reg != nil {
 		s.metRequests = make(map[byte]*obs.Counter)
 		for _, t := range []byte{
@@ -153,38 +152,29 @@ func (s *Service) serveConn(conn net.Conn) {
 			return
 		}
 	}
-	for {
-		body, err := rpc.ReadFrame(conn, s.cfg.MaxFrame)
-		if err != nil {
-			return
-		}
-		reqVer := body[0]
-		msgType, payload, err := rpc.ParseFrame(body)
-		var resp []byte
-		if err != nil {
-			resp = rpc.AppendError(nil, rpc.ErrCodeBadRequest, err.Error())
-		} else {
-			if c := s.metRequests[msgType]; c != nil {
-				c.Inc()
-			}
-			resp = s.route(msgType, payload)
-		}
-		respVer := reqVer
-		if respVer > s.maxVer {
-			respVer = s.maxVer
-		}
-		werr := rpc.WriteFrameV(conn, resp, respVer)
-		rpc.ReleaseFrame(body)
-		if werr != nil {
-			return
-		}
+	rpc.ServeConn(conn, s.ep)
+}
+
+// grant answers a connection's hello. This daemon is the placement
+// authority, so FeaturePlacement is the one feature it grants.
+func (s *Service) grant(requested uint64) uint64 {
+	if c := s.metRequests[rpc.MsgHello]; c != nil {
+		c.Inc()
 	}
+	return rpc.FeaturePlacement & requested
+}
+
+// unary answers one request; the connection loop runs it concurrently
+// with the connection's other requests. The service has no tenants.
+func (s *Service) unary(msgType byte, payload []byte, _ string) []byte {
+	if c := s.metRequests[msgType]; c != nil {
+		c.Inc()
+	}
+	return s.route(msgType, payload)
 }
 
 func (s *Service) route(msgType byte, payload []byte) []byte {
 	switch msgType {
-	case rpc.MsgHello:
-		return s.handleHello(payload)
 	case rpc.MsgPing:
 		if len(payload) != 0 {
 			return s.errResp(rpc.ErrCodeBadRequest, "ping with payload")
@@ -303,21 +293,6 @@ func (s *Service) handleStatus() []byte {
 		LastTerm:  trm,
 		Peers:     1,
 	})
-}
-
-// handleHello negotiates min(client, v2) and grants FeaturePlacement:
-// this daemon IS the placement authority.
-func (s *Service) handleHello(payload []byte) []byte {
-	want, features, err := rpc.DecodeHelloFeatures(payload)
-	if err != nil {
-		return s.errResp(rpc.ErrCodeBadRequest, err.Error())
-	}
-	agreed := want
-	if agreed > s.maxVer {
-		agreed = s.maxVer
-	}
-	granted := rpc.FeaturePlacement & features
-	return rpc.AppendHelloRespFeatures(nil, agreed, granted)
 }
 
 // handleCreate computes the initial placement over the active nodes:

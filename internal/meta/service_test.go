@@ -3,7 +3,9 @@ package meta
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -71,6 +73,33 @@ func TestServiceNamespaceOverTCP(t *testing.T) {
 	}
 	if _, err := cl.MetaOpen(ctx, "ghost"); !errors.Is(err, rpc.ErrUnknownFile) {
 		t.Fatalf("open of absent name: got %v, want ErrUnknownFile", err)
+	}
+
+	// Sixteen concurrent calls from a fresh client share its one
+	// multiplexed connection: exactly one dial, however the first calls
+	// race to open it.
+	reg := obs.NewRegistry()
+	mc := rpc.NewClient(rpc.ClientConfig{Addr: cl.Addr(), Placement: true, Metrics: reg})
+	defer mc.Close()
+	const calls = 16
+	var wg sync.WaitGroup
+	errs := make(chan error, calls)
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if f, err := mc.MetaOpen(ctx, "data"); err != nil || f.Name != "data" {
+				errs <- fmt.Errorf("concurrent MetaOpen: %+v, %v", f, err)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if dials := reg.Counter(rpc.MetricClientDials).Value(); dials != 1 {
+		t.Fatalf("%d dials for %d concurrent metadata calls, want 1", dials, calls)
 	}
 
 	if ext, err := cl.MetaExtend(ctx, "data", 4096); err != nil || ext.Length != 4096 {

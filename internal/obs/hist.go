@@ -133,27 +133,3 @@ func LatencyBuckets() []int64 {
 	}
 	return out
 }
-
-// SizeBuckets returns the standard exponential size grid in bytes:
-// 64 B quadrupling up to 1 GiB (13 buckets).
-func SizeBuckets() []int64 {
-	out := make([]int64, 13)
-	v := int64(64)
-	for i := range out {
-		out[i] = v
-		v *= 4
-	}
-	return out
-}
-
-// CountBuckets returns an exponential grid for small cardinalities
-// (segments per gather, pairs per plan): 1 doubling up to 65536.
-func CountBuckets() []int64 {
-	out := make([]int64, 17)
-	v := int64(1)
-	for i := range out {
-		out[i] = v
-		v *= 2
-	}
-	return out
-}

@@ -92,7 +92,9 @@ func (p *Projection) Empty() bool { return p.Bytes == 0 }
 
 // WalkRange walks the projection's selected element bytes within the
 // inclusive element-space window [lo, hi], handling the periodic
-// repetition beyond the first period.
+// repetition beyond the first period. The walk ends for good the first
+// time fn returns false: callers stop on errors and may have released
+// what fn writes into.
 func (p *Projection) WalkRange(lo, hi int64, fn func(seg falls.LineSegment) bool) {
 	if p.Empty() || hi < lo {
 		return
@@ -102,19 +104,19 @@ func (p *Projection) WalkRange(lo, hi int64, fn func(seg falls.LineSegment) bool
 			continue
 		}
 		base := k * p.Period
-		done := true
+		stop := false
 		p.Set.Walk(func(seg falls.LineSegment) bool {
 			abs := falls.LineSegment{L: seg.L + base, R: seg.R + base}
 			if abs.R < lo {
 				return true
 			}
-			if abs.L > hi {
-				done = false
+			if abs.L > hi || !fn(falls.LineSegment{L: max64(abs.L, lo), R: min64(abs.R, hi)}) {
+				stop = true
 				return false
 			}
-			return fn(falls.LineSegment{L: max64(abs.L, lo), R: min64(abs.R, hi)})
+			return true
 		})
-		if !done {
+		if stop {
 			return
 		}
 	}

@@ -132,6 +132,25 @@ func TestProjectionPeriodicWalk(t *testing.T) {
 	}
 }
 
+// TestProjectionWalkStopsAtFalse: once fn returns false the walk is
+// over, in this period and every later one. Scatter/gather callers
+// stop on an error and may already have released the buffer fn fills.
+func TestProjectionWalkStopsAtFalse(t *testing.T) {
+	// Bytes {0,1} and {4,5} of every 8: two segments per period, six
+	// periods in the window.
+	p := &Projection{Set: falls.Set{falls.MustLeaf(0, 1, 4, 2)}, Period: 8, Bytes: 4}
+	for stopAt := 1; stopAt <= 4; stopAt++ {
+		calls := 0
+		p.WalkRange(0, 47, func(falls.LineSegment) bool {
+			calls++
+			return calls < stopAt
+		})
+		if calls != stopAt {
+			t.Fatalf("fn returned false on call %d, but was called %d times", stopAt, calls)
+		}
+	}
+}
+
 // TestProjectionContiguity: identical partitions project each element
 // onto itself contiguously; mismatched ones do not.
 func TestProjectionContiguity(t *testing.T) {

@@ -15,13 +15,10 @@ import (
 )
 
 // client.go is the compute-node side of the wire: one Client per I/O
-// node. Against a proto-v3 daemon all traffic multiplexes over a
-// single connection (mux.go) — concurrent operations interleave as
-// tagged streams, and large transfers travel as chunked streams that
-// overlap network transmission with the server-side scatter/gather.
-// Against older daemons (or when capped below v3) the client keeps the
-// classic pool of synchronous request/response connections, with
-// overflow dialing bounded by a per-node semaphore.
+// node, and one connection per Client. All traffic multiplexes over
+// that connection (mux.go): concurrent operations interleave as tagged
+// streams, and large transfers travel as chunked streams that overlap
+// network transmission with the server-side scatter/gather.
 //
 // Every request in the protocol is idempotent — writes place the same
 // bytes at the same offsets, registration and close are
@@ -41,15 +38,6 @@ import (
 type ClientConfig struct {
 	// Addr is the node's host:port.
 	Addr string
-	// PoolSize caps pooled idle connections on the classic
-	// (non-multiplexed) path (default 2).
-	PoolSize int
-	// MaxConns caps concurrently checked-out connections on the classic
-	// path (default 4×PoolSize). Calls beyond the cap wait for a free
-	// token instead of dialing unbounded extra sockets; waits are
-	// observed on parafile_rpc_conn_wait_ns. The multiplexed path
-	// shares one connection and never consumes tokens.
-	MaxConns int
 	// DialTimeout bounds connection establishment (default 5s).
 	DialTimeout time.Duration
 	// WriteTimeout / ReadTimeout are per-request deadlines (default
@@ -72,19 +60,19 @@ type ClientConfig struct {
 	// reproducible schedules.
 	BackoffSeed int64
 	// Tenant names this client's fair-share class for server-side
-	// admission control: offered with FeatureTenant in the Hello,
-	// attached to the connection by daemons that speak the feature.
-	// Empty lands in the server's default class, and keeps the Hello
-	// bytes identical to the pre-tenant protocol.
+	// admission control: offered with FeatureTenant in the Hello and
+	// attached to the connection by daemons that grant the feature.
+	// Empty lands in the server's default class.
 	Tenant string
 	// MaxFrame bounds response frames (DefaultMaxFrame when 0).
 	MaxFrame int64
-	// ChunkSize is the wire chunk of proto-v3 streamed transfers
-	// (default 1 MiB).
+	// ChunkSize is the wire chunk of streamed transfers (default
+	// 1 MiB).
 	ChunkSize int
 	// StreamThreshold is the payload size at and above which
-	// WriteSegments/ReadSegments travel as chunked streams on v3
-	// connections (default ChunkSize; negative disables streaming).
+	// WriteSegments/ReadSegments travel as chunked streams (default
+	// ChunkSize). Negative disables streaming: every transfer is one
+	// unary frame, the monolithic arm of the streaming ablation.
 	StreamThreshold int
 	// BreakerThreshold is the number of consecutive transport failures
 	// that opens the per-node circuit breaker (default 5; negative
@@ -98,45 +86,23 @@ type ClientConfig struct {
 	// fail-after-N-bytes) here. Nil uses a plain TCP dial. The context
 	// passed in carries the dial timeout.
 	Dialer func(ctx context.Context, network, addr string) (net.Conn, error)
-	// ProtoVersion caps the protocol generation the client negotiates
-	// (0 means MaxProtoVersion). At 1 the client skips negotiation
-	// entirely and speaks bare v1 frames; at 2+ every fresh connection
-	// opens with a MsgHello exchange, downgrading to v1 when the daemon
-	// predates negotiation (it answers the Hello with MsgError). At 3
-	// the client multiplexes all traffic over one connection when the
-	// daemon agrees.
-	ProtoVersion int
 	// Metrics receives the client-side RPC series; nil records nothing.
 	Metrics *obs.Registry
 	// Trace enables distributed tracing: the client offers FeatureTrace
 	// in its Hello, and calls whose context carries a traced obs.Span
 	// travel in MsgTraced envelopes (or carry trace IDs on stream
-	// headers) against daemons that granted the feature. Against old
-	// daemons — or with Trace false — the wire bytes are identical to
-	// the untraced protocol, and calls without a span in their context
-	// pay nothing.
+	// headers) against daemons that granted the feature. Against a
+	// daemon that did not — or with Trace false — no tracing bytes
+	// travel, and calls without a span in their context pay nothing.
 	Trace bool
 	// Placement enables placement-epoch awareness: the client offers
 	// FeaturePlacement in its Hello, and epoch-stamped requests (Epoch
 	// fields set nonzero by the meta layer) are accepted by daemons that
-	// speak the feature. With Placement false — the default — the Hello
-	// bytes are identical to the pre-placement protocol. Epoch-stamped
-	// requests sent to a daemon that predates the feature fail with a
-	// bad-request error rather than silently dropping the check, so a
-	// meta-managed file can never be served unfenced by an old daemon.
+	// grant the feature.
 	Placement bool
 }
 
 func (cfg *ClientConfig) fillDefaults() {
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = 2
-	}
-	if cfg.MaxConns <= 0 {
-		cfg.MaxConns = 4 * cfg.PoolSize
-	}
-	if cfg.MaxConns < cfg.PoolSize {
-		cfg.MaxConns = cfg.PoolSize
-	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 5 * time.Second
 	}
@@ -172,21 +138,6 @@ func (cfg *ClientConfig) fillDefaults() {
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = time.Second
 	}
-	if cfg.ProtoVersion <= 0 || cfg.ProtoVersion > MaxProtoVersion {
-		cfg.ProtoVersion = MaxProtoVersion
-	}
-}
-
-// clientConn is one pooled connection and the protocol version its
-// MsgHello exchange settled on. tokened marks a connection checked out
-// under the MaxConns semaphore.
-type clientConn struct {
-	net.Conn
-	ver     byte
-	tokened bool
-	// features is the feature bitmask the daemon granted in its
-	// HelloResp (0 against pre-feature daemons).
-	features uint64
 }
 
 // respFrame is one parsed response: the pooled backing buffer plus the
@@ -197,11 +148,6 @@ type respFrame struct {
 	msgType byte
 	payload []byte
 }
-
-// errNoMux reports that the peer negotiated below proto v3, so the
-// caller should take the classic path; the dialed connection was
-// handed to the idle pool, not wasted.
-var errNoMux = errors.New("rpc: peer does not speak proto v3")
 
 // Client talks to one I/O node.
 type Client struct {
@@ -214,17 +160,14 @@ type Client struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// sem is the MaxConns token semaphore of the classic path.
-	sem chan struct{}
-
-	mu      sync.Mutex
-	idle    []*clientConn
-	peerVer byte // last negotiated version; 0 until the first dial
-	closed  bool
-
-	// muxMu serializes (re)dialing the multiplexed connection.
-	muxMu sync.Mutex
-	mux   *muxConn
+	// mux is the node's connection: nil until the first call, and
+	// replaced by the next call after a transport error kills it.
+	// muxMu serializes dialing it and guards closed, so concurrent
+	// calls that find it down wait for one dial instead of each
+	// opening a connection.
+	mux    atomic.Pointer[muxConn]
+	muxMu  sync.Mutex
+	closed bool
 
 	// registered remembers the projection fingerprints this node has
 	// acknowledged, so each shape's PROJ travels once (per client) —
@@ -265,7 +208,6 @@ func NewClient(cfg ClientConfig) *Client {
 		cfg: cfg,
 		met: newClientMetrics(cfg.Metrics),
 		rng: rand.New(rand.NewSource(seed)),
-		sem: make(chan struct{}, cfg.MaxConns),
 	}
 	if cfg.BreakerThreshold > 0 {
 		c.br = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown,
@@ -362,77 +304,71 @@ func (c *Client) paceRelease() { c.paceSlots.Add(-1) }
 // Addr returns the node address the client was built for.
 func (c *Client) Addr() string { return c.cfg.Addr }
 
-// Close closes pooled connections and the multiplexed connection.
-// In-flight calls on checked-out connections finish normally;
-// in-flight mux streams fail.
+// Close closes the client's connection; in-flight streams on it fail.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	c.closed = true
-	idle := c.idle
-	c.idle = nil
-	c.mu.Unlock()
-	for _, conn := range idle {
-		conn.Close()
-	}
-	c.muxMu.Lock()
-	if c.mux != nil {
-		c.mux.fail(fmt.Errorf("rpc: client for %s is closed", c.cfg.Addr))
-		c.mux = nil
-	}
-	c.muxMu.Unlock()
+	c.shut(fmt.Errorf("rpc: client for %s is closed", c.cfg.Addr))
 	return nil
 }
 
-// Retire closes the client like Close, counting each torn-down
-// connection under parafile_pool_discards{kind="retired"}. The meta
-// layer calls it when a placement refresh drops the node from the map:
-// pooled connections to a node that no longer serves the file are
-// dead weight, better closed now than idling until discard caps evict
-// them.
+// Retire closes the client like Close, counting a torn-down connection
+// under parafile_pool_discards{kind="retired"}. The meta layer calls
+// it when a placement refresh drops the node from the map: a
+// connection to a node that no longer serves the file is dead weight,
+// better closed now than left idle.
 func (c *Client) Retire() error {
-	c.mu.Lock()
-	c.closed = true
-	idle := c.idle
-	c.idle = nil
-	c.mu.Unlock()
-	for _, conn := range idle {
-		conn.Close()
+	if c.shut(fmt.Errorf("rpc: client for %s retired by placement refresh", c.cfg.Addr)) {
 		c.met.poolRetired.Inc()
 	}
-	c.muxMu.Lock()
-	if c.mux != nil {
-		c.mux.fail(fmt.Errorf("rpc: client for %s retired by placement refresh", c.cfg.Addr))
-		c.mux = nil
-		c.met.poolRetired.Inc()
-	}
-	c.muxMu.Unlock()
 	return nil
 }
 
-// acquireToken takes a MaxConns token, observing the wait when the
-// semaphore is saturated.
-func (c *Client) acquireToken(ctx context.Context) error {
-	select {
-	case c.sem <- struct{}{}:
-		return nil
-	default:
+// shut marks the client closed and fails its connection with err,
+// reporting whether there was one to tear down.
+func (c *Client) shut(err error) bool {
+	c.muxMu.Lock()
+	defer c.muxMu.Unlock()
+	c.closed = true
+	m := c.mux.Swap(nil)
+	if m == nil {
+		return false
 	}
-	start := time.Now()
-	select {
-	case c.sem <- struct{}{}:
+	m.fail(err)
+	return true
+}
+
+// getMux returns the node's live connection, dialing one if there is
+// none. A call that finds another call mid-dial waits for that dial
+// rather than opening a second connection; the wait is observed on
+// parafile_rpc_conn_wait_ns and, for traced calls, as a conn_wait
+// interval on the call's span.
+func (c *Client) getMux(ctx context.Context) (*muxConn, error) {
+	if m := c.mux.Load(); m != nil && m.alive() {
+		return m, nil
+	}
+	if !c.muxMu.TryLock() {
+		start := time.Now()
+		c.muxMu.Lock()
 		wait := time.Since(start)
 		c.met.connWaitNs.Observe(wait.Nanoseconds())
 		obs.SpanFromContext(ctx).AddInterval("conn_wait", start, wait)
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
 	}
+	defer c.muxMu.Unlock()
+	if c.closed {
+		return nil, fmt.Errorf("rpc: client for %s is closed", c.cfg.Addr)
+	}
+	if m := c.mux.Load(); m != nil && m.alive() {
+		return m, nil
+	}
+	m, err := c.dial(ctx)
+	if err != nil {
+		return nil, err
+	}
+	c.mux.Store(m)
+	return m, nil
 }
 
-func (c *Client) releaseToken() { <-c.sem }
-
-// dial establishes and (for want ≥ 2) negotiates one connection.
-func (c *Client) dial(ctx context.Context, want byte) (*clientConn, error) {
+// dial opens a connection to the node and runs the hello on it.
+func (c *Client) dial(ctx context.Context) (*muxConn, error) {
 	c.met.dials.Inc()
 	dctx, cancel := context.WithTimeout(ctx, c.cfg.DialTimeout)
 	defer cancel()
@@ -447,60 +383,19 @@ func (c *Client) dial(ctx context.Context, want byte) (*clientConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	conn := &clientConn{Conn: raw, ver: ProtoVersion}
-	if want > ProtoVersion {
-		if err := c.negotiate(ctx, conn, want); err != nil {
-			conn.Close()
-			return nil, err
-		}
-	}
-	c.mu.Lock()
-	c.peerVer = conn.ver
-	c.mu.Unlock()
-	return conn, nil
-}
-
-// getConn checks out a classic (non-multiplexed) connection: a pooled
-// idle one, or a fresh dial bounded by the MaxConns semaphore. Classic
-// connections never negotiate above v2 — asking for v3 would switch
-// the daemon side into multiplexed framing.
-func (c *Client) getConn(ctx context.Context) (*clientConn, error) {
-	if err := c.acquireToken(ctx); err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		c.releaseToken()
-		return nil, fmt.Errorf("rpc: client for %s is closed", c.cfg.Addr)
-	}
-	if n := len(c.idle); n > 0 {
-		conn := c.idle[n-1]
-		c.idle = c.idle[:n-1]
-		c.mu.Unlock()
-		conn.tokened = true
-		return conn, nil
-	}
-	c.mu.Unlock()
-	want := byte(c.cfg.ProtoVersion)
-	if want > ProtoVersion2 {
-		want = ProtoVersion2
-	}
-	conn, err := c.dial(ctx, want)
+	granted, err := c.hello(ctx, raw)
 	if err != nil {
-		c.releaseToken()
+		raw.Close()
 		return nil, err
 	}
-	conn.tokened = true
-	return conn, nil
+	return newMuxConn(raw, granted, &c.cfg), nil
 }
 
-// negotiate runs the MsgHello exchange on a fresh connection. The
-// Hello itself travels v1-framed so a daemon that predates negotiation
-// parses it; such a daemon answers with MsgError (bad request), which
-// the client reads as "speak v1". A transport failure fails the dial —
-// the caller's retry loop handles it like any connection error.
-func (c *Client) negotiate(ctx context.Context, conn *clientConn, want byte) error {
+// hello runs the connection's opening exchange and returns the feature
+// bits the daemon granted. Anything but a v3 MsgHelloResp fails the
+// dial, and the caller's retry loop handles it like any connection
+// error.
+func (c *Client) hello(ctx context.Context, conn net.Conn) (uint64, error) {
 	var offer uint64
 	if c.cfg.Trace {
 		offer = FeatureTrace
@@ -511,112 +406,43 @@ func (c *Client) negotiate(ctx context.Context, conn *clientConn, want byte) err
 	if c.cfg.Tenant != "" {
 		offer |= FeatureTenant
 	}
-	req := AppendHelloTenant(getFrameBuf(8), want, offer, c.cfg.Tenant)
+	req := AppendHelloTenant(getFrameBuf(16), ProtoVersion3, offer, c.cfg.Tenant)
 	defer putFrameBuf(req)
 	if err := conn.SetWriteDeadline(deadline(ctx, c.cfg.WriteTimeout)); err != nil {
-		return err
+		return 0, err
 	}
 	if err := WriteFrame(conn, req); err != nil {
-		return err
+		return 0, err
 	}
 	if err := conn.SetReadDeadline(deadline(ctx, c.cfg.ReadTimeout)); err != nil {
-		return err
+		return 0, err
 	}
 	body, err := ReadFrame(conn, c.cfg.MaxFrame)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer ReleaseFrame(body)
 	msgType, payload, err := ParseFrame(body)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	switch msgType {
-	case MsgHelloResp:
-		agreed, granted, err := DecodeHelloRespFeatures(payload)
-		if err != nil {
-			return err
-		}
-		if agreed < ProtoVersion {
-			agreed = ProtoVersion
-		}
-		if agreed > want {
-			agreed = want
-		}
-		conn.ver = agreed
-		conn.features = granted & offer
-	case MsgError:
-		// Pre-negotiation daemon: it answered the unknown message with
-		// a bad-request error. Speak v1 on this connection.
-		conn.ver = ProtoVersion
-	default:
-		return fmt.Errorf("%w: hello response type %#x", ErrCorrupt, msgType)
+	if msgType != MsgHelloResp {
+		return 0, fmt.Errorf("%w: hello answered with %s", ErrCorrupt, MsgName(msgType))
 	}
-	return nil
-}
-
-func (c *Client) putConn(conn *clientConn) {
-	if conn.tokened {
-		conn.tokened = false
-		c.releaseToken()
-	}
-	c.mu.Lock()
-	if !c.closed && len(c.idle) < c.cfg.PoolSize {
-		c.idle = append(c.idle, conn)
-		c.mu.Unlock()
-		return
-	}
-	c.mu.Unlock()
-	conn.Close()
-}
-
-// discardConn drops a failed connection, returning its token.
-func (c *Client) discardConn(conn *clientConn) {
-	if conn.tokened {
-		conn.tokened = false
-		c.releaseToken()
-	}
-	conn.Close()
-}
-
-// useMux reports whether calls should try the multiplexed path: the
-// client is configured for v3 and the peer has not negotiated below it.
-func (c *Client) useMux() bool {
-	if c.cfg.ProtoVersion < ProtoVersion3 {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.peerVer == 0 || c.peerVer >= ProtoVersion3
-}
-
-// getMux returns the live multiplexed connection, dialing one if
-// needed. A peer that negotiates below v3 yields errNoMux and the
-// fresh connection is pooled for the classic path instead.
-func (c *Client) getMux(ctx context.Context) (*muxConn, error) {
-	c.muxMu.Lock()
-	defer c.muxMu.Unlock()
-	if c.mux != nil && c.mux.alive() {
-		return c.mux, nil
-	}
-	c.mux = nil
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("rpc: client for %s is closed", c.cfg.Addr)
-	}
-	c.mu.Unlock()
-	conn, err := c.dial(ctx, byte(c.cfg.ProtoVersion))
+	ver, granted, err := DecodeHelloRespFeatures(payload)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	if conn.ver < ProtoVersion3 {
-		c.putConn(conn)
-		return nil, errNoMux
+	if ver != ProtoVersion3 {
+		return 0, fmt.Errorf("%w: daemon speaks protocol %d, want %d", ErrCorrupt, ver, ProtoVersion3)
 	}
-	m := newMuxConn(conn, &c.cfg)
-	c.mux = m
-	return m, nil
+	// The connection's reader waits for frames indefinitely: a stream
+	// times out on its own per-frame timer (muxStream.recv), never on
+	// a deadline left over from the hello.
+	if err := conn.SetReadDeadline(time.Time{}); err != nil {
+		return 0, err
+	}
+	return granted & offer, nil
 }
 
 // backoff returns the pause before retry attempt (1-based): equal
@@ -645,28 +471,6 @@ func deadline(ctx context.Context, d time.Duration) time.Time {
 		t = dl
 	}
 	return t
-}
-
-// roundTrip performs one framed exchange on one classic connection,
-// framing the request at the connection's negotiated protocol version.
-// The response body is pooled; the caller releases it.
-func (c *Client) roundTrip(ctx context.Context, conn *clientConn, req []byte) ([]byte, error) {
-	if err := conn.SetWriteDeadline(deadline(ctx, c.cfg.WriteTimeout)); err != nil {
-		return nil, err
-	}
-	if err := WriteFrameV(conn, req, conn.ver); err != nil {
-		return nil, err
-	}
-	c.met.sentBytes.Add(int64(len(req) + 4))
-	if err := conn.SetReadDeadline(deadline(ctx, c.cfg.ReadTimeout)); err != nil {
-		return nil, err
-	}
-	body, err := ReadFrame(conn, c.cfg.MaxFrame)
-	if err != nil {
-		return nil, err
-	}
-	c.met.recvBytes.Add(int64(len(body) + 4))
-	return body, nil
 }
 
 // traceSpan returns the context's span when this request should travel
@@ -698,48 +502,13 @@ func unwrapTraced(sp *obs.Span, f respFrame) (respFrame, error) {
 	return respFrame{body: f.body, msgType: innerType, payload: inner}, nil
 }
 
-// attempt performs one unary exchange, over the multiplexed connection
-// when the peer speaks v3 and the classic pool otherwise.
+// attempt performs one unary exchange over the node's connection.
 func (c *Client) attempt(ctx context.Context, reqType byte, req []byte) (respFrame, error) {
-	if c.useMux() {
-		m, err := c.getMux(ctx)
-		if err == nil {
-			return c.muxExchange(ctx, m, reqType, req)
-		}
-		if err != errNoMux {
-			return respFrame{}, err
-		}
-		// The peer negotiated down: fall through to the classic path.
-	}
-	conn, err := c.getConn(ctx)
+	m, err := c.getMux(ctx)
 	if err != nil {
 		return respFrame{}, err
 	}
-	sp := c.traceSpan(ctx, reqType, conn.features)
-	wire := req
-	if sp != nil {
-		// Wrap the encoded request in a MsgTraced envelope. The classic
-		// path copies (the mux path splices vectored); it is the cold
-		// fallback, simplicity wins.
-		wire = AppendTracedHdr(getFrameBuf(32+len(req)), sp.TraceID(), sp.SpanID())
-		wire = append(wire, reqType)
-		wire = append(wire, req[2:]...)
-	}
-	body, err := c.roundTrip(ctx, conn, wire)
-	if sp != nil {
-		putFrameBuf(wire)
-	}
-	if err != nil {
-		c.discardConn(conn)
-		return respFrame{}, err
-	}
-	c.putConn(conn)
-	msgType, payload, err := ParseFrame(body)
-	if err != nil {
-		putFrameBuf(body)
-		return respFrame{}, err
-	}
-	return unwrapTraced(sp, respFrame{body: body, msgType: msgType, payload: payload})
+	return c.muxExchange(ctx, m, reqType, req)
 }
 
 // ping is one unretried Ping exchange, used directly by Ping and as
@@ -1035,37 +804,31 @@ func (c *Client) Registered(fp uint64) bool {
 func (c *Client) Forget(fp uint64) { c.registered.Delete(fp) }
 
 // shouldStream reports whether a payload of n bytes should travel as a
-// chunked v3 stream.
+// chunked stream.
 func (c *Client) shouldStream(n int) bool {
-	return c.cfg.StreamThreshold > 0 && n >= c.cfg.StreamThreshold && c.useMux()
+	return c.cfg.StreamThreshold > 0 && n >= c.cfg.StreamThreshold
 }
 
 // WriteSegments performs a scatter (nonzero fingerprint) or contiguous
 // (zero fingerprint) write. Payloads at or above StreamThreshold
-// travel as a chunked stream on v3 connections, overlapping
-// transmission with the server-side scatter.
+// travel as a chunked stream, overlapping transmission with the
+// server-side scatter.
 func (c *Client) WriteSegments(ctx context.Context, req *WriteSegsReq) error {
 	if c.shouldStream(len(req.Data)) {
-		err, streamed := c.writeStreamed(ctx, req)
-		if streamed {
-			return err
-		}
+		return c.writeStreamed(ctx, req)
 	}
 	return c.exchange(ctx, MsgWriteSegs, AppendWriteSegs(getFrameBuf(64+len(req.Data)), req))
 }
 
 // ReadSegments performs a gather (nonzero fingerprint) or contiguous
 // (zero fingerprint) read of len(dst) bytes into dst. Reads at or
-// above StreamThreshold travel as a chunked stream on v3 connections.
+// above StreamThreshold travel as a chunked stream.
 func (c *Client) ReadSegments(ctx context.Context, req *ReadSegsReq, dst []byte) error {
 	if req.N != int64(len(dst)) {
 		return fmt.Errorf("rpc: read of %d bytes into %d-byte buffer", req.N, len(dst))
 	}
 	if c.shouldStream(len(dst)) {
-		err, streamed := c.readStreamed(ctx, req, dst)
-		if streamed {
-			return err
-		}
+		return c.readStreamed(ctx, req, dst)
 	}
 	reqBuf := AppendReadSegs(getFrameBuf(64), req)
 	f, err := c.call(ctx, MsgReadSegs, reqBuf)

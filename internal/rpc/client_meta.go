@@ -4,8 +4,8 @@ import "context"
 
 // client_meta.go is the metadata-service half of the client: the
 // MsgMeta* calls parafilemd answers. The metadata daemon speaks the
-// same framing, negotiation and error protocol as the data daemons, so
-// the calls ride the shared retry/breaker/mux machinery — a Client
+// same framing, hello and error protocol as the data daemons, so the
+// calls ride the shared retry/breaker/mux machinery — a Client
 // pointed at a parafilemd address just uses these methods instead of
 // the storage ones.
 

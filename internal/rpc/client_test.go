@@ -223,7 +223,7 @@ func TestServerRejectsGarbageFrames(t *testing.T) {
 
 	// A frame with a wrong protocol version: the server answers with a
 	// bad-request error instead of dropping the connection or panicking.
-	if err := WriteFrame(conn, []byte{ProtoVersion + 1, MsgStat}); err != nil {
+	if err := WriteFrame(conn, []byte{ProtoVersion3 + 1, MsgStat}); err != nil {
 		t.Fatal(err)
 	}
 	body, err := ReadFrame(conn, 0)

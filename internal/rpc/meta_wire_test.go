@@ -302,7 +302,7 @@ func TestTransportUpdateRetires(t *testing.T) {
 	}
 	defer tr.Close()
 	ctx := context.Background()
-	// Warm a pooled connection to both daemons (SetEpoch fans out).
+	// Warm a connection to both daemons (SetEpoch fans out).
 	if err := tr.SetEpoch(ctx, "warm", 1, false); err != nil {
 		t.Fatalf("warming pools: %v", err)
 	}

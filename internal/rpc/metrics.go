@@ -34,11 +34,11 @@ const (
 	// shed answer with a RetryAfter hint, data-plane attempts inside the
 	// hinted window are shed client-side without shipping the payload.
 	MetricClientPaced = "parafile_rpc_client_paced_total"
-	// MetricClientConnWaitNs records time spent waiting for a
-	// connection token when the per-node dial semaphore is saturated
-	// (classic, non-multiplexed path only; zero waits never observe).
+	// MetricClientConnWaitNs records time a call spent waiting for
+	// the node's connection while another call was dialing it (calls
+	// that find the connection up never observe).
 	MetricClientConnWaitNs = "parafile_rpc_conn_wait_ns"
-	// Streaming (proto v3): operations that traveled chunked instead of
+	// Streaming: operations that traveled chunked instead of
 	// as one monolithic frame, and the chunk frames moved each way.
 	MetricClientStreamedOps = "parafile_rpc_client_streamed_ops_total"
 	MetricClientChunks      = "parafile_rpc_client_chunks_total"
@@ -53,7 +53,7 @@ const (
 	MetricServerErrors    = "parafile_rpc_server_errors_total"
 	MetricServerConns     = "parafile_rpc_server_connections"
 	MetricServerFiles     = "parafile_rpc_server_open_files"
-	// Streaming (proto v3), mirrored server-side.
+	// Streaming, mirrored server-side.
 	MetricServerStreams = "parafile_rpc_server_streams_total"
 	MetricServerChunks  = "parafile_rpc_server_chunks_total"
 	// MetricPoolDiscards is the shared buffer-pool discard series:

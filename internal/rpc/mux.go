@@ -11,8 +11,8 @@ import (
 	"parafile/internal/obs"
 )
 
-// mux.go is the client side of proto v3: one multiplexed connection
-// per node carrying every operation as a tagged stream. A single
+// mux.go is the client side of the connection: one multiplexed
+// connection per node carrying every operation as a tagged stream. A single
 // reader goroutine demultiplexes incoming frames onto per-stream
 // channels; writers serialize whole frames under a mutex and send them
 // vectored (WriteFrameVec), so a chunk's data bytes go from the
@@ -22,10 +22,9 @@ import (
 // error, a read error, a corrupt frame, a stream that timed out
 // waiting for its next frame — kills the whole muxConn. Every waiting
 // stream observes the death via the done channel, and the per-call
-// retry loop (client.run) dials a fresh muxConn. That is the same
-// drop-and-retry contract the classic pooled path has, widened to all
-// streams sharing the connection; it is safe for the same reason —
-// every request in the protocol is idempotent.
+// retry loop (client.run) dials a fresh muxConn. Dropping every stream
+// on the connection and retrying each is safe because every request in
+// the protocol is idempotent.
 
 // streamWindow bounds buffered frames per stream: the reader parks
 // once a stream is this far behind, which propagates TCP backpressure
@@ -54,10 +53,9 @@ type muxStream struct {
 	gone chan struct{}
 }
 
-// muxConn is one multiplexed v3 connection.
+// muxConn is one multiplexed connection.
 type muxConn struct {
 	conn net.Conn
-	ver  byte
 	cfg  *ClientConfig
 	// features is the daemon-granted feature bitmask from the Hello.
 	features uint64
@@ -72,12 +70,11 @@ type muxConn struct {
 	done    chan struct{}
 }
 
-func newMuxConn(conn *clientConn, cfg *ClientConfig) *muxConn {
+func newMuxConn(conn net.Conn, features uint64, cfg *ClientConfig) *muxConn {
 	m := &muxConn{
-		conn:     conn.Conn,
-		ver:      conn.ver,
+		conn:     conn,
 		cfg:      cfg,
-		features: conn.features,
+		features: features,
 		streams:  make(map[uint64]*muxStream),
 		done:     make(chan struct{}),
 	}
@@ -164,7 +161,7 @@ func (m *muxConn) send(ctx context.Context, parts ...[]byte) error {
 		m.fail(err)
 		return err
 	}
-	if err := WriteFrameVec(m.conn, m.ver, parts...); err != nil {
+	if err := WriteFrameVec(m.conn, parts...); err != nil {
 		m.fail(err)
 		return err
 	}
@@ -172,8 +169,8 @@ func (m *muxConn) send(ctx context.Context, parts ...[]byte) error {
 }
 
 // recv waits for the stream's next frame. ReadTimeout applies per
-// frame (as on the classic path); an expiry kills the connection so
-// the retry loop redials instead of inheriting a wedged stream.
+// frame; an expiry kills the connection so the retry loop redials
+// instead of inheriting a wedged stream.
 func (st *muxStream) recv(ctx context.Context, m *muxConn) (respFrame, error) {
 	timer := time.NewTimer(m.cfg.ReadTimeout)
 	defer timer.Stop()
@@ -231,7 +228,7 @@ func (m *muxConn) readLoop() {
 }
 
 // muxExchange is one unary request/response over the mux: the encoded
-// request's [ver][type] prefix is replaced by a v3 stream header and
+// request's [ver][type] prefix is replaced by a stream header and
 // the rest travels untouched (vectored, no re-encode). A traced call
 // grows the prefix into a MsgTraced envelope head — the inner request
 // bytes still travel straight from the caller's buffer, no copy.
@@ -276,29 +273,20 @@ func (c *Client) abortStream(m *muxConn, st *muxStream) {
 	putFrameBuf(hdr)
 }
 
-// writeStreamed sends req as a chunked v3 stream through the shared
-// retry machinery. streamed=false reports a peer below v3: nothing was
-// sent and the caller falls back to the monolithic frame.
-func (c *Client) writeStreamed(ctx context.Context, req *WriteSegsReq) (err error, streamed bool) {
-	streamed = true
-	err = c.run(ctx, MsgWriteStream, func(ctx context.Context) error {
-		m, merr := c.getMux(ctx)
-		if merr == errNoMux {
-			streamed = false
-			return nil
-		}
-		if merr != nil {
-			return merr
+// writeStreamed sends req as a chunked stream through the shared retry
+// machinery.
+func (c *Client) writeStreamed(ctx context.Context, req *WriteSegsReq) error {
+	err := c.run(ctx, MsgWriteStream, func(ctx context.Context) error {
+		m, err := c.getMux(ctx)
+		if err != nil {
+			return err
 		}
 		return c.writeStreamOnce(ctx, m, req)
 	})
-	if !streamed {
-		return nil, false
-	}
 	if err == nil {
 		c.met.streamedW.Inc()
 	}
-	return err, true
+	return err
 }
 
 // writeStreamOnce is one attempt: open the stream, ship the data as
@@ -385,28 +373,20 @@ func earlyWriteReply(f respFrame) error {
 	return fmt.Errorf("%w: OK before write stream completed", ErrCorrupt)
 }
 
-// readStreamed fills dst from a chunked v3 read stream through the
-// shared retry machinery. streamed=false reports a peer below v3.
-func (c *Client) readStreamed(ctx context.Context, req *ReadSegsReq, dst []byte) (err error, streamed bool) {
-	streamed = true
-	err = c.run(ctx, MsgReadStream, func(ctx context.Context) error {
-		m, merr := c.getMux(ctx)
-		if merr == errNoMux {
-			streamed = false
-			return nil
-		}
-		if merr != nil {
-			return merr
+// readStreamed fills dst from a chunked read stream through the shared
+// retry machinery.
+func (c *Client) readStreamed(ctx context.Context, req *ReadSegsReq, dst []byte) error {
+	err := c.run(ctx, MsgReadStream, func(ctx context.Context) error {
+		m, err := c.getMux(ctx)
+		if err != nil {
+			return err
 		}
 		return c.readStreamOnce(ctx, m, req, dst)
 	})
-	if !streamed {
-		return nil, false
-	}
 	if err == nil {
 		c.met.streamedR.Inc()
 	}
-	return err, true
+	return err
 }
 
 // readStreamOnce is one attempt: open the stream and scatter arriving

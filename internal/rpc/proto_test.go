@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"hash/crc32"
+	"net"
 	"testing"
 	"time"
 
@@ -12,23 +13,26 @@ import (
 	"parafile/internal/obs"
 )
 
-// proto_test.go covers the wire-v2 generation: the CRC32C frame
-// trailer and its typed corruption error, the MsgHello negotiation
-// against current and v1-capped daemons, and the Checksum RPC the
-// scrub path rides on.
+// proto_test.go covers the framing and the connection's opening: the
+// CRC32C frame trailer and its typed corruption error, the hello that
+// admits only this protocol version, and the Checksum RPC the scrub
+// path rides on.
 
-func TestFrameV2RoundTrip(t *testing.T) {
+func TestFrameV3RoundTrip(t *testing.T) {
 	body := AppendStat(nil, &StatReq{File: "f", Subfile: 3})
 	var buf bytes.Buffer
-	if err := WriteFrameV(&buf, body, ProtoVersion2); err != nil {
+	if err := WriteFrame(&buf, body); err != nil {
 		t.Fatal(err)
+	}
+	if n := buf.Len(); n != 4+len(body)+4 {
+		t.Fatalf("frame is %d bytes on the wire, want length prefix + %d-byte body + CRC trailer", n, len(body))
 	}
 	got, err := ReadFrame(&buf, DefaultMaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0] != ProtoVersion2 {
-		t.Fatalf("frame version %d, want %d", got[0], ProtoVersion2)
+	if got[0] != ProtoVersion3 {
+		t.Fatalf("frame version %d, want %d", got[0], ProtoVersion3)
 	}
 	msgType, payload, err := ParseFrame(got)
 	if err != nil {
@@ -46,31 +50,23 @@ func TestFrameV2RoundTrip(t *testing.T) {
 	}
 }
 
-func TestFrameV2DetectsCorruption(t *testing.T) {
+func TestFrameV3DetectsCorruption(t *testing.T) {
 	body := AppendStat(nil, &StatReq{File: "file-name", Subfile: 1})
 	var clean bytes.Buffer
-	if err := WriteFrameV(&clean, body, ProtoVersion2); err != nil {
+	if err := WriteFrameVec(&clean, body[:3], body[3:]); err != nil {
 		t.Fatal(err)
 	}
 	wire := clean.Bytes()
 	// Flip every byte past the length prefix in turn: each single-byte
 	// corruption — in the version byte, payload or trailer — must
-	// surface as ErrCorruptFrame, never as a clean parse.
+	// surface as ErrCorruptFrame, never as a clean parse. The trailer
+	// is computed across the vectored parts exactly as over one body.
 	for i := 4; i < len(wire); i++ {
 		damaged := append([]byte(nil), wire...)
 		damaged[i] ^= 0x40
-		got, err := ReadFrame(bytes.NewReader(damaged), DefaultMaxFrame)
-		if err == nil {
-			// A flipped version byte can only downgrade so far before the
-			// trailer is treated as payload; ParseFrame must then reject
-			// the version instead.
-			if _, _, perr := ParseFrame(got); perr == nil {
-				t.Fatalf("flip at %d parsed cleanly", i)
-			}
-			continue
-		}
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("flip at %d: error %v is not ErrCorrupt", i, err)
+		_, err := ReadFrame(bytes.NewReader(damaged), DefaultMaxFrame)
+		if !errors.Is(err, ErrCorruptFrame) {
+			t.Fatalf("flip at %d: error %v, want ErrCorruptFrame", i, err)
 		}
 	}
 	// The trailer itself checks out when untouched.
@@ -79,100 +75,97 @@ func TestFrameV2DetectsCorruption(t *testing.T) {
 	}
 }
 
-func TestNegotiationAgreesOnV2(t *testing.T) {
-	// A client capped at v2 keeps the classic pooled-connection path
-	// and lands on v2 framing.
-	addr, _ := startServer(t, ServerConfig{})
-	c := NewClient(ClientConfig{Addr: addr, ProtoVersion: ProtoVersion2})
-	defer c.Close()
-	ctx := context.Background()
-	if err := c.CreateFile(ctx, &CreateFileReq{Name: "f", Phys: encodeTestPhys(t), Subfiles: []int{0}}); err != nil {
-		t.Fatal(err)
-	}
-	c.mu.Lock()
-	if len(c.idle) == 0 {
-		c.mu.Unlock()
-		t.Fatal("no pooled connection after a call")
-	}
-	ver := c.idle[0].ver
-	c.mu.Unlock()
-	if ver != ProtoVersion2 {
-		t.Fatalf("negotiated version %d, want %d", ver, ProtoVersion2)
-	}
-}
-
 func TestNegotiationDefaultUpgradesToMux(t *testing.T) {
-	// An uncapped client against a current daemon negotiates v3 and
-	// multiplexes over a single connection instead of pooling.
-	addr, _ := startServer(t, ServerConfig{})
-	c := NewClient(ClientConfig{Addr: addr})
+	// A default client's hello lands it on one multiplexed connection
+	// that every later call shares, whatever the call.
+	reg := obs.NewRegistry()
+	addr, srv := startServer(t, ServerConfig{Metrics: obs.NewRegistry()})
+	c := NewClient(ClientConfig{Addr: addr, Metrics: reg})
 	defer c.Close()
 	ctx := context.Background()
 	if err := c.CreateFile(ctx, &CreateFileReq{Name: "f", Phys: encodeTestPhys(t), Subfiles: []int{0}}); err != nil {
 		t.Fatal(err)
 	}
-	c.muxMu.Lock()
-	m := c.mux
-	c.muxMu.Unlock()
-	if m == nil || !m.alive() {
+	if err := c.Ping(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Stat(ctx, "f", 0); err != nil {
+		t.Fatal(err)
+	}
+	if m := c.mux.Load(); m == nil || !m.alive() {
 		t.Fatal("no live multiplexed connection after a call")
 	}
-	if m.ver != ProtoVersion3 {
-		t.Fatalf("mux negotiated version %d, want %d", m.ver, ProtoVersion3)
+	if dials := reg.Counter(MetricClientDials).Value(); dials != 1 {
+		t.Fatalf("%d dials for three calls, want 1", dials)
 	}
-	c.mu.Lock()
-	pooled := len(c.idle)
-	c.mu.Unlock()
-	if pooled != 0 {
-		t.Fatalf("default client pooled %d classic connections alongside the mux", pooled)
+	if got := srv.met.requests[MsgHello].Value(); got != 1 {
+		t.Fatalf("server answered %d hellos, want 1", got)
 	}
 }
 
-func TestNegotiationDowngradesToV1Server(t *testing.T) {
-	// A daemon capped at v1 behaves like one that predates negotiation:
-	// it answers the Hello with a bad-request error and the client
-	// quietly speaks v1 on that connection.
-	addr, _ := startServer(t, ServerConfig{MaxProtoVersion: 1})
-	c := NewClient(ClientConfig{Addr: addr})
+// TestHelloRejectsOtherPeers: a peer that answers the hello with
+// anything but a MsgHelloResp for this protocol version fails the
+// dial; the client never falls back to another framing.
+func TestHelloRejectsOtherPeers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		resp []byte
+	}{
+		{"error answer", AppendError(nil, ErrCodeBadRequest, "unknown message type 0x8")},
+		{"older version", AppendHelloRespFeatures(nil, 2, 0)},
+		{"wrong message", AppendOK(nil)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() {
+				for {
+					conn, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					if body, err := ReadFrame(conn, 0); err == nil {
+						ReleaseFrame(body)
+						WriteFrame(conn, tc.resp)
+					}
+					conn.Close()
+				}
+			}()
+			reg := obs.NewRegistry()
+			c := NewClient(ClientConfig{Addr: ln.Addr().String(), MaxRetries: 1, BackoffBase: time.Millisecond, Metrics: reg})
+			defer c.Close()
+			_, err = c.Stat(context.Background(), "f", 0)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("call through a non-v3 hello: %v, want ErrCorrupt", err)
+			}
+			if dials := reg.Counter(MetricClientDials).Value(); dials != 2 {
+				t.Fatalf("%d dials, want one per attempt", dials)
+			}
+		})
+	}
+}
+
+// TestMuxOutlivesHelloDeadline: the connection's reader must not
+// inherit the read deadline the hello set, or every connection would
+// die ReadTimeout after its dial, busy or idle.
+func TestMuxOutlivesHelloDeadline(t *testing.T) {
+	addr, _ := startServer(t, ServerConfig{})
+	reg := obs.NewRegistry()
+	c := NewClient(ClientConfig{Addr: addr, ReadTimeout: 50 * time.Millisecond, Metrics: reg})
 	defer c.Close()
 	ctx := context.Background()
-	if err := c.CreateFile(ctx, &CreateFileReq{Name: "f", Phys: encodeTestPhys(t), Subfiles: []int{0}}); err != nil {
+	if err := c.Ping(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WriteSegments(ctx, &WriteSegsReq{File: "f", Subfile: 0, Lo: 0, Hi: 7, Data: []byte("12345678")}); err != nil {
+	time.Sleep(150 * time.Millisecond)
+	if err := c.Ping(ctx); err != nil {
 		t.Fatal(err)
 	}
-	n, err := c.Stat(ctx, "f", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 8 {
-		t.Fatalf("stat = %d, want 8", n)
-	}
-	c.mu.Lock()
-	ver := c.idle[0].ver
-	c.mu.Unlock()
-	if ver != ProtoVersion {
-		t.Fatalf("negotiated version %d against a v1 daemon, want %d", ver, ProtoVersion)
-	}
-}
-
-func TestClientCappedAtV1SkipsNegotiation(t *testing.T) {
-	addr, srv := startServer(t, ServerConfig{})
-	c := NewClient(ClientConfig{Addr: addr, ProtoVersion: 1, Metrics: obs.NewRegistry()})
-	defer c.Close()
-	if err := c.Ping(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	c.mu.Lock()
-	ver := c.idle[0].ver
-	c.mu.Unlock()
-	if ver != ProtoVersion {
-		t.Fatalf("v1-capped client negotiated version %d", ver)
-	}
-	// The server never saw a Hello.
-	if got := srv.met.requests[MsgHello].Value(); got != 0 {
-		t.Fatalf("server counted %d hello requests from a v1 client", got)
+	if dials := reg.Counter(MetricClientDials).Value(); dials != 1 {
+		t.Fatalf("%d dials across an idle spell, want 1", dials)
 	}
 }
 
@@ -221,8 +214,8 @@ func TestChecksumRPC(t *testing.T) {
 }
 
 func TestClientRetriesCorruptResponseFrame(t *testing.T) {
-	// One byte of the first response is flipped in flight. The v2 frame
-	// trailer catches it; the client drops the connection and the retry
+	// One byte of the first response is flipped in flight. The frame's
+	// CRC trailer catches it; the client drops the connection and the retry
 	// gets a clean answer.
 	addr, _ := startServer(t, ServerConfig{})
 	inj := fault.NewInjector(fault.Plan{Seed: 7, Rules: []fault.Rule{

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"parafile/internal/codec"
 	"parafile/internal/obs"
 	"parafile/internal/qos"
 )
@@ -37,11 +38,12 @@ func shedLimiter(t *testing.T) *qos.Limiter {
 }
 
 func TestHelloTenantRoundTrip(t *testing.T) {
-	// Empty tenant encodes byte-identically to the pre-tenant Hello.
-	legacy := AppendHelloFeatures(nil, 3, FeaturePlacement)
+	// Empty tenant encodes byte-identically to a Hello without the
+	// tenant field: version, then the feature mask, nothing after.
+	noTenant := codec.AppendUvarint(codec.AppendUvarint(beginFrame(nil, MsgHello), 3), FeaturePlacement)
 	plain := AppendHelloTenant(nil, 3, FeaturePlacement, "")
-	if !bytes.Equal(legacy, plain) {
-		t.Fatalf("empty tenant changed the Hello bytes:\n  %x\n  %x", legacy, plain)
+	if !bytes.Equal(noTenant, plain) {
+		t.Fatalf("empty tenant changed the Hello bytes:\n  %x\n  %x", noTenant, plain)
 	}
 
 	body := AppendHelloTenant(nil, 3, FeaturePlacement|FeatureTenant, "gold")

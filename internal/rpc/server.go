@@ -32,18 +32,13 @@ type ServerConfig struct {
 	DataDir string
 	// MaxFrame bounds accepted frame bodies (DefaultMaxFrame when 0).
 	MaxFrame int64
-	// MaxProtoVersion caps the protocol generation the server speaks
-	// (0 means the build's MaxProtoVersion). Setting 1 emulates a
-	// pre-negotiation daemon: MsgHello is an unknown message and v2
-	// frames are rejected — the downgrade path the client must survive.
-	MaxProtoVersion int
 	// Metrics receives the server-side RPC series; nil records nothing.
 	Metrics *obs.Registry
 	// Trace advertises FeatureTrace in the hello exchange and opens
 	// server-side child spans (decode, lock wait, scatter/gather,
 	// stream stalls, fsync) for requests that carry trace IDs. Off by
-	// default: a non-tracing server answers hellos byte-identically to
-	// a pre-tracing build.
+	// default: a non-tracing server withholds the feature, so no
+	// tracing bytes reach it.
 	Trace bool
 	// Node labels this server's spans and log lines (defaults to
 	// Tracer.Node(), else "ion").
@@ -64,20 +59,20 @@ type ServerConfig struct {
 	// ErrCodeOverloaded answer under sustained pressure), while
 	// control-plane requests bypass the queue so pings, stats and epoch
 	// fencing survive data-plane overload. The tenant key is the name
-	// the connection negotiated via FeatureTenant (legacy connections
-	// fall into the default class). Nil admits everything.
+	// the connection's hello carried via FeatureTenant (connections
+	// without one fall into the default class). Nil admits everything.
 	QoS *qos.Limiter
 }
 
 // Server hosts subfile stores behind the wire protocol. One Server is
 // one I/O node; a deployment runs one parafiled per node.
 type Server struct {
-	cfg    ServerConfig
-	met    serverMetrics
-	maxVer byte
-	node   string
-	stash  *obs.SpanStash
-	slow   obs.SlowOpLogger
+	cfg   ServerConfig
+	met   serverMetrics
+	ep    Endpoint
+	node  string
+	stash *obs.SpanStash
+	slow  obs.SlowOpLogger
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -126,9 +121,6 @@ func NewServer(cfg ServerConfig) *Server {
 	if cfg.MaxFrame <= 0 {
 		cfg.MaxFrame = DefaultMaxFrame
 	}
-	if cfg.MaxProtoVersion <= 0 || cfg.MaxProtoVersion > MaxProtoVersion {
-		cfg.MaxProtoVersion = MaxProtoVersion
-	}
 	node := cfg.Node
 	if node == "" {
 		node = cfg.Tracer.Node()
@@ -137,15 +129,15 @@ func NewServer(cfg ServerConfig) *Server {
 		node = "ion"
 	}
 	s := &Server{
-		cfg:    cfg,
-		met:    newServerMetrics(cfg.Metrics),
-		maxVer: byte(cfg.MaxProtoVersion),
-		node:   node,
-		slow:   obs.SlowOpLogger{Log: cfg.Log, Threshold: cfg.SlowOp},
-		conns:  make(map[net.Conn]struct{}),
-		files:  make(map[string]*serverFile),
-		projs:  make(map[uint64]*redist.Projection),
+		cfg:   cfg,
+		met:   newServerMetrics(cfg.Metrics),
+		node:  node,
+		slow:  obs.SlowOpLogger{Log: cfg.Log, Threshold: cfg.SlowOp},
+		conns: make(map[net.Conn]struct{}),
+		files: make(map[string]*serverFile),
+		projs: make(map[uint64]*redist.Projection),
 	}
+	s.ep = Endpoint{MaxFrame: cfg.MaxFrame, Grant: s.grant, Unary: s.dispatch}
 	if cfg.Trace {
 		// Streamed ops park their completed spans here until the
 		// client's MsgSpans drain; the bound caps what a client that
@@ -155,9 +147,10 @@ func NewServer(cfg ServerConfig) *Server {
 	return s
 }
 
-// features returns the feature bits this server grants from a
-// client's requested mask.
-func (s *Server) features(requested uint64) uint64 {
+// grant answers a connection's hello with the feature bits this
+// server grants from the client's requested mask.
+func (s *Server) grant(requested uint64) uint64 {
+	s.met.requests[MsgHello].Inc()
 	granted := FeaturePlacement | FeatureTenant
 	if s.cfg.Trace {
 		granted |= FeatureTrace
@@ -167,8 +160,8 @@ func (s *Server) features(requested uint64) uint64 {
 
 // qosOpOf classifies a message type for admission. Only the
 // payload-bearing data-plane operations are subject to queueing and
-// quotas; everything else — pings (breaker probes), stats, hellos,
-// epoch fencing, checksums, metadata RPCs — is control-plane and must
+// quotas; everything else — pings (breaker probes), stats, epoch
+// fencing, checksums, metadata RPCs — is control-plane and must
 // keep answering while the data plane sheds.
 func qosOpOf(msgType byte) qos.Op {
 	switch msgType {
@@ -270,9 +263,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.ln != nil {
 		s.ln.Close()
 	}
-	// Wake connections blocked in ReadFrame: the read loop sees the
-	// draining flag on the deadline error and exits cleanly. A request
-	// already being processed still writes its response first.
+	// Wake connections blocked in ReadFrame: the read loop exits on
+	// the deadline error. A request already being processed still
+	// writes its response first.
 	for c := range s.conns {
 		c.SetReadDeadline(time.Now())
 	}
@@ -321,111 +314,15 @@ func (s *Server) handleConn(conn net.Conn) {
 		conn.Close()
 		s.connWG.Done()
 	}()
-	// tenant is the fair-share class this connection negotiated via a
-	// FeatureTenant hello (empty = default class). The classic loop is
-	// serial, so the hello handler may write it between requests.
-	var tenant string
-	for {
-		body, err := ReadFrame(conn, s.cfg.MaxFrame)
-		if err != nil {
-			// EOF, peer reset, the drain wake-up, or garbage: either
-			// way this connection is done.
-			return
-		}
-		s.met.recvBytes.Add(int64(len(body) + 4))
-		// A Hello asking for v3 or newer upgrades the connection to
-		// multiplexed framing right after the reply.
-		if muxTenant, ok := s.tryUpgradeV3(conn, body); ok {
-			ReleaseFrame(body)
-			s.serveMux(conn, muxTenant)
-			return
-		}
-		// Responses mirror the request's frame version (clamped to what
-		// this server speaks): a v2 request gets a checksummed v2
-		// response, a v1 request a bare v1 one.
-		respVer := byte(ProtoVersion)
-		if len(body) > 0 && body[0] > respVer {
-			respVer = body[0]
-		}
-		if respVer > s.maxVer {
-			respVer = s.maxVer
-		}
-		resp := s.handle(body, &tenant)
-		ReleaseFrame(body)
-		err = WriteFrameV(conn, resp, respVer)
-		s.met.sentBytes.Add(int64(len(resp) + 4))
-		putFrameBuf(resp)
-		if err != nil {
-			return
-		}
-		if s.draining.Load() {
-			return
-		}
-	}
+	serveConn(conn, s.ep, s)
 }
 
-// tryUpgradeV3 checks whether a frame is a Hello negotiating v3 or
-// newer; if so it sends the reply and reports true (plus the tenant
-// the hello carried), and the caller switches the connection into
-// multiplexed serving. Anything else — including a v1/v2 Hello, which
-// must keep its classic one-frame semantics — reports false and takes
-// the ordinary path.
-func (s *Server) tryUpgradeV3(conn net.Conn, body []byte) (string, bool) {
-	if s.maxVer < ProtoVersion3 || s.draining.Load() {
-		return "", false
-	}
-	msgType, payload, err := ParseFrame(body)
-	if err != nil || msgType != MsgHello || body[0] > s.maxVer {
-		return "", false
-	}
-	want, features, tenant, err := DecodeHelloTenant(payload)
-	if err != nil || want < ProtoVersion3 {
-		return "", false
-	}
-	s.met.requests[MsgHello].Inc()
-	agreed := want
-	if agreed > s.maxVer {
-		agreed = s.maxVer
-	}
-	granted := s.features(features)
-	if granted&FeatureTenant == 0 {
-		tenant = ""
-	}
-	resp := AppendHelloRespFeatures(getFrameBuf(16), agreed, granted)
-	// The Hello round-trip stays on the request's own frame version;
-	// only frames after it are v3. A failed reply write leaves the
-	// connection broken and the mux loop exits on its first read.
-	werr := WriteFrameV(conn, resp, body[0])
-	s.met.sentBytes.Add(int64(len(resp) + 4))
-	putFrameBuf(resp)
-	_ = werr
-	return tenant, true
-}
-
-// handle executes one classic-framed request and returns the encoded
-// response in a pooled buffer. tenant is the connection's negotiated
-// fair-share class; a hello carrying FeatureTenant updates it.
-func (s *Server) handle(body []byte, tenant *string) []byte {
-	out := getFrameBuf(64)
-	msgType, payload, err := ParseFrame(body)
-	if err != nil {
-		return s.errResp(out, ErrCodeBadRequest, err.Error())
-	}
-	if body[0] > s.maxVer {
-		// A version-capped server refuses newer framing the same way a
-		// real old daemon would.
-		return s.errResp(out, ErrCodeBadRequest,
-			fmt.Sprintf("protocol version %d, want %d", body[0], s.maxVer))
-	}
-	return s.dispatch(out, msgType, payload, nil, tenant)
-}
-
-// dispatch executes one parsed request. It is shared by the classic
-// one-at-a-time connection loop and the multiplexed per-stream
+// dispatch executes one unary request and returns the encoded response
+// in a pooled buffer. It runs in the connection loop's per-request
 // goroutines: every handler locks the state it touches, so concurrent
-// dispatch is safe. sp is the server-side span of the request (nil
-// for untraced requests — every handler is nil-safe).
-func (s *Server) dispatch(out []byte, msgType byte, payload []byte, sp *obs.Span, tenant *string) []byte {
+// dispatch is safe. tenant is the connection's fair-share class.
+func (s *Server) dispatch(msgType byte, payload []byte, tenant string) []byte {
+	out := getFrameBuf(64)
 	start := time.Now()
 	s.met.inflight.Add(1)
 	defer func() {
@@ -436,7 +333,7 @@ func (s *Server) dispatch(out []byte, msgType byte, payload []byte, sp *obs.Span
 		// The traced envelope logs itself with the inner request's name
 		// and real trace ID; logging the wrapper too would double up.
 		if msgType != MsgTraced {
-			s.slow.Observe("rpc."+MsgName(msgType), sp.TraceID(), elapsed, nil)
+			s.slow.Observe("rpc."+MsgName(msgType), 0, elapsed, nil)
 		}
 	}()
 	s.met.requests[msgType].Inc()
@@ -446,22 +343,17 @@ func (s *Server) dispatch(out []byte, msgType byte, payload []byte, sp *obs.Span
 	if msgType == MsgTraced {
 		return s.handleTraced(out, payload, tenant)
 	}
-	return s.route(out, msgType, payload, sp, tenant)
+	return s.route(out, msgType, payload, nil, tenant)
 }
 
 // route is the request-type switch shared by dispatch and the traced
 // envelope (which re-enters with the inner request and a live span).
-// Admission happens here, so every execution path — classic loop, mux
-// unary goroutines, traced envelopes — charges the limiter exactly
-// once per request, after the draining check and before any state is
-// touched.
-func (s *Server) route(out []byte, msgType byte, payload []byte, sp *obs.Span, tenant *string) []byte {
+// Admission happens here, so every execution path — plain and traced
+// unary requests alike — charges the limiter exactly once per request,
+// after the draining check and before any state is touched.
+func (s *Server) route(out []byte, msgType byte, payload []byte, sp *obs.Span, tenant string) []byte {
 	if s.cfg.QoS != nil {
-		var name string
-		if tenant != nil {
-			name = *tenant
-		}
-		rel, err := s.cfg.QoS.Acquire(context.Background(), name, qosOpOf(msgType), qosBytes(msgType, payload))
+		rel, err := s.cfg.QoS.Acquire(context.Background(), tenant, qosOpOf(msgType), qosBytes(msgType, payload))
 		if err != nil {
 			return s.overloadResp(out, err)
 		}
@@ -486,12 +378,6 @@ func (s *Server) route(out []byte, msgType byte, payload []byte, sp *obs.Span, t
 			return s.errResp(out, ErrCodeBadRequest, err.Error())
 		}
 		return AppendOK(out)
-	case MsgHello:
-		// A version-capped (v1-emulating) server falls through to the
-		// unknown-message error below, exactly like a real old daemon.
-		if s.maxVer >= ProtoVersion2 {
-			return s.handleHello(out, payload, tenant)
-		}
 	case MsgChecksum:
 		return s.handleChecksum(out, payload, sp)
 	case MsgSpans:
@@ -505,7 +391,7 @@ func (s *Server) route(out []byte, msgType byte, payload []byte, sp *obs.Span, t
 // handleTraced runs a MsgTraced envelope: the inner request executes
 // under a span adopted into the caller's trace, and the completed
 // records travel back piggybacked ahead of the inner response.
-func (s *Server) handleTraced(out, payload []byte, tenant *string) []byte {
+func (s *Server) handleTraced(out, payload []byte, tenant string) []byte {
 	traceID, parent, innerType, inner, err := DecodeTraced(payload)
 	if err != nil {
 		return s.errResp(out, ErrCodeBadRequest, err.Error())
@@ -536,22 +422,6 @@ func (s *Server) handleSpans(out, payload []byte) []byte {
 		return s.errResp(out, ErrCodeBadRequest, err.Error())
 	}
 	return AppendSpansResp(out, s.stash.Take(traceID))
-}
-
-func (s *Server) handleHello(out, payload []byte, tenant *string) []byte {
-	want, features, helloTenant, err := DecodeHelloTenant(payload)
-	if err != nil {
-		return s.errResp(out, ErrCodeBadRequest, err.Error())
-	}
-	agreed := want
-	if agreed > s.maxVer {
-		agreed = s.maxVer
-	}
-	granted := s.features(features)
-	if granted&FeatureTenant != 0 && tenant != nil {
-		*tenant = helloTenant
-	}
-	return AppendHelloRespFeatures(out, agreed, granted)
 }
 
 func (s *Server) handleChecksum(out, payload []byte, sp *obs.Span) []byte {

@@ -16,10 +16,11 @@ import (
 	"parafile/internal/redist"
 )
 
-// stream.go is the server side of proto v3. A connection whose Hello
-// asked for v3 switches into multiplexed mode: a single read loop
-// demultiplexes tagged frames, unary requests dispatch in their own
-// goroutines, and the chunked-transfer messages run as pipelines —
+// stream.go is the daemon side of the connection, shared by every
+// daemon in the repo (ServeConn): after the hello, a single read loop
+// demultiplexes tagged frames and unary requests dispatch in their own
+// goroutines. On a data daemon's connection the chunked-transfer
+// messages additionally run as pipelines —
 //
 //   write stream: read loop feeds arriving chunks into a bounded
 //   channel; a per-stream worker scatters them into the store while
@@ -57,13 +58,34 @@ type srvWriteStream struct {
 	chunks chan srvChunk
 }
 
-// srvConn is one multiplexed connection, server side.
+// Endpoint is a daemon's request surface on the shared connection
+// loop: what it grants in the hello and how it answers a unary
+// request. parafiled's Server and parafilemd's Service each supply one.
+type Endpoint struct {
+	// MaxFrame bounds accepted frame bodies (DefaultMaxFrame when 0).
+	MaxFrame int64
+	// Grant returns the feature bits the daemon grants from the mask a
+	// client's hello requested.
+	Grant func(requested uint64) uint64
+	// Unary answers one request and returns its encoded response frame
+	// body ([ver][type][payload]); the loop sends it on the request's
+	// stream and hands the buffer to the frame pool. tenant is the
+	// fair-share class the hello named ("" unless FeatureTenant was
+	// granted). Unary runs concurrently across a connection's requests.
+	Unary func(msgType byte, payload []byte, tenant string) []byte
+}
+
+// srvConn is one multiplexed connection, daemon side.
 type srvConn struct {
-	s    *Server
+	ep   Endpoint
 	conn net.Conn
-	// tenant is the fair-share class the upgrade hello negotiated,
-	// fixed for the connection's lifetime (the concurrent stream
-	// goroutines only ever read it).
+	// s is the data daemon serving the connection, nil for any other
+	// daemon: chunked streams and the byte counters are its alone.
+	s          *Server
+	recv, sent *obs.Counter
+	// tenant is the fair-share class the hello named, fixed for the
+	// connection's lifetime (the concurrent stream goroutines only ever
+	// read it).
 	tenant string
 
 	// wmu serializes outgoing frames across all streams.
@@ -75,15 +97,70 @@ type srvConn struct {
 	writeStreams map[uint64]*srvWriteStream
 }
 
-// serveMux runs a v3 connection until it drops, then releases every
-// stream worker and waits for them.
-func (s *Server) serveMux(conn net.Conn, tenant string) {
-	sc := &srvConn{s: s, conn: conn, tenant: tenant, writeStreams: make(map[uint64]*srvWriteStream)}
+// ServeConn runs the daemon side of one accepted connection until it
+// drops: the hello, then the demultiplexing loop answering every
+// request through ep.Unary. It returns once every request it
+// dispatched has answered; the caller closes conn.
+func ServeConn(conn net.Conn, ep Endpoint) {
+	serveConn(conn, ep, nil)
+}
+
+// serveConn is ServeConn, with the data daemon's chunked streams when
+// s is non-nil.
+func serveConn(conn net.Conn, ep Endpoint, s *Server) {
+	sc := &srvConn{ep: ep, conn: conn, s: s, writeStreams: make(map[uint64]*srvWriteStream)}
+	if s != nil {
+		sc.recv, sc.sent = s.met.recvBytes, s.met.sentBytes
+	}
+	if !sc.hello() {
+		return
+	}
 	sc.readLoop()
 	for _, st := range sc.writeStreams {
 		close(st.chunks)
 	}
 	sc.wg.Wait()
+}
+
+// hello answers the connection's first frame, which must be a MsgHello
+// for this protocol version. Anything else is answered with a
+// bad-request error and the connection is dropped.
+func (sc *srvConn) hello() bool {
+	body, err := ReadFrame(sc.conn, sc.ep.MaxFrame)
+	if err != nil {
+		return false
+	}
+	sc.recv.Add(int64(len(body) + 4))
+	var want byte
+	var requested uint64
+	var tenant string
+	msgType, payload, err := ParseFrame(body)
+	if err == nil && msgType != MsgHello {
+		err = fmt.Errorf("%w: connection opened with %s, want hello", ErrCorrupt, MsgName(msgType))
+	}
+	if err == nil {
+		want, requested, tenant, err = DecodeHelloTenant(payload)
+	}
+	if err == nil && want != ProtoVersion3 {
+		err = fmt.Errorf("%w: protocol version %d, want %d", ErrCorrupt, want, ProtoVersion3)
+	}
+	ReleaseFrame(body)
+	if err != nil {
+		// Best effort: the connection is dropped whether or not the
+		// peer reads the refusal.
+		resp := AppendError(getFrameBuf(64), ErrCodeBadRequest, err.Error())
+		_ = sc.send(resp)
+		putFrameBuf(resp)
+		return false
+	}
+	granted := sc.ep.Grant(requested)
+	if granted&FeatureTenant != 0 {
+		sc.tenant = tenant
+	}
+	resp := AppendHelloRespFeatures(getFrameBuf(16), ProtoVersion3, granted)
+	err = sc.send(resp)
+	putFrameBuf(resp)
+	return err == nil
 }
 
 // send writes one frame, vectored and serialized.
@@ -94,10 +171,10 @@ func (sc *srvConn) send(parts ...[]byte) error {
 	}
 	sc.wmu.Lock()
 	defer sc.wmu.Unlock()
-	if err := WriteFrameVec(sc.conn, ProtoVersion3, parts...); err != nil {
+	if err := WriteFrameVec(sc.conn, parts...); err != nil {
 		return err
 	}
-	sc.s.met.sentBytes.Add(int64(n + 4))
+	sc.sent.Add(int64(n + 4))
 	return nil
 }
 
@@ -128,13 +205,12 @@ func (sc *srvConn) sendOverload(sid uint64, err error) {
 // readLoop demultiplexes the connection until EOF, a framing error, or
 // the drain wake-up.
 func (sc *srvConn) readLoop() {
-	s := sc.s
 	for {
-		body, err := ReadFrame(sc.conn, s.cfg.MaxFrame)
+		body, err := ReadFrame(sc.conn, sc.ep.MaxFrame)
 		if err != nil {
 			return
 		}
-		s.met.recvBytes.Add(int64(len(body) + 4))
+		sc.recv.Add(int64(len(body) + 4))
 		msgType, rest, err := ParseFrame(body)
 		var sid uint64
 		var payload []byte
@@ -146,6 +222,10 @@ func (sc *srvConn) readLoop() {
 			// stream on it: drop the connection, clients retry.
 			ReleaseFrame(body)
 			return
+		}
+		if sc.s == nil {
+			sc.unary(sid, msgType, body, payload)
+			continue
 		}
 		switch msgType {
 		case MsgWriteChunk:
@@ -191,23 +271,24 @@ func (sc *srvConn) readLoop() {
 			sc.wg.Add(1)
 			go sc.runReadStream(sid, req)
 		default:
-			// Unary request: dispatch concurrently, responses serialize
-			// under the write lock. MsgTraced envelopes take this path
-			// too — dispatch unwraps them.
-			sc.wg.Add(1)
-			go func(sid uint64, msgType byte, body, payload []byte) {
-				defer sc.wg.Done()
-				// Each goroutine gets its own tenant copy: the mux
-				// connection's class is fixed at upgrade, and a stray
-				// mid-connection hello must not race sibling dispatches.
-				tenant := sc.tenant
-				resp := s.dispatch(getFrameBuf(64), msgType, payload, nil, &tenant)
-				ReleaseFrame(body)
-				sc.sendResp(sid, resp)
-				putFrameBuf(resp)
-			}(sid, msgType, body, payload)
+			// MsgTraced envelopes take this path too — the data
+			// daemon's dispatch unwraps them.
+			sc.unary(sid, msgType, body, payload)
 		}
 	}
+}
+
+// unary dispatches one request concurrently; responses serialize under
+// the write lock.
+func (sc *srvConn) unary(sid uint64, msgType byte, body, payload []byte) {
+	sc.wg.Add(1)
+	go func() {
+		defer sc.wg.Done()
+		resp := sc.ep.Unary(msgType, payload, sc.tenant)
+		ReleaseFrame(body)
+		sc.sendResp(sid, resp)
+		putFrameBuf(resp)
+	}()
 }
 
 // chunkFeed pulls a write stream's bytes chunk by chunk, releasing

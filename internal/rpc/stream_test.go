@@ -4,18 +4,21 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"parafile/internal/falls"
 	"parafile/internal/fault"
 	"parafile/internal/obs"
+	"parafile/internal/redist"
 )
 
-// stream_test.go covers the proto-v3 generation: chunked streamed
-// transfers, the multiplexed connection they ride on, the fault matrix
-// mid-stream, and the retention caps on the frame pool.
+// stream_test.go covers chunked streamed transfers, the multiplexed
+// connection they ride on, the fault matrix mid-stream, and the
+// retention caps on the frame pool.
 
 // streamCfg is a client configuration that forces every segment
 // operation onto the streamed path with several chunks per op.
@@ -86,12 +89,13 @@ func TestStreamedWriteReadRoundTrip(t *testing.T) {
 
 func TestStreamedMatchesMonolithic(t *testing.T) {
 	// Bytes written streamed must read back identically through a
-	// v2-capped (monolithic) client, and vice versa.
+	// client with streaming off (monolithic unary frames), and vice
+	// versa.
 	addr, _ := startServer(t, ServerConfig{})
 	ctx := context.Background()
 	sc := NewClient(streamCfg(addr, nil))
 	defer sc.Close()
-	mc := NewClient(ClientConfig{Addr: addr, ProtoVersion: ProtoVersion2})
+	mc := NewClient(ClientConfig{Addr: addr, StreamThreshold: -1})
 	defer mc.Close()
 	if err := sc.CreateFile(ctx, &CreateFileReq{Name: "f", Phys: encodeTestPhys(t), Subfiles: []int{0}}); err != nil {
 		t.Fatal(err)
@@ -170,49 +174,6 @@ func TestMuxSingleConnConcurrency(t *testing.T) {
 	}
 }
 
-func TestClassicDialSemaphore(t *testing.T) {
-	// On the classic path, MaxConns bounds checked-out connections;
-	// excess calls wait for a token and the wait lands on the
-	// conn-wait histogram.
-	addr, _ := startServer(t, ServerConfig{})
-	inj := fault.NewInjector(fault.Plan{Seed: 3, Rules: []fault.Rule{
-		// Slow down responses so concurrent calls pile onto the one
-		// permitted connection.
-		{Node: fault.AnyNode, Op: fault.OpConnRead, Kind: fault.Delay, Delay: 5 * time.Millisecond, Times: 8},
-	}}, nil)
-	reg := obs.NewRegistry()
-	c := NewClient(ClientConfig{
-		Addr:         addr,
-		ProtoVersion: ProtoVersion2,
-		PoolSize:     1,
-		MaxConns:     1,
-		Dialer:       inj.Dialer(nil),
-		Metrics:      reg,
-	})
-	defer c.Close()
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 4; i++ {
-				if err := c.Ping(ctx); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if reg.Histogram(MetricClientConnWaitNs, obs.LatencyBuckets()).Count() == 0 {
-		t.Fatal("no connection-token waits observed despite MaxConns=1 and 4 workers")
-	}
-	if dials := reg.Counter(MetricClientDials).Value(); dials > 1 {
-		t.Fatalf("%d dials despite MaxConns=1", dials)
-	}
-}
-
 func TestStreamFaultMatrix(t *testing.T) {
 	// Mid-stream faults: the connection dies N bytes into a chunked
 	// write, a response chunk is corrupted in flight, a response stalls
@@ -226,10 +187,11 @@ func TestStreamFaultMatrix(t *testing.T) {
 		metric string
 	}{
 		{
-			// After skips the negotiation and CreateFile writes so the
-			// injected reset lands amid the chunk frames of the big write.
+			// After skips the hello (3 socket writes), CreateFile (4)
+			// and the stream header (3) so the injected reset lands
+			// amid the chunk frames of the big write.
 			name:   "conn dies mid-stream",
-			rule:   fault.Rule{Node: fault.AnyNode, Op: fault.OpConnWrite, Kind: fault.ErrorOnce, After: 10},
+			rule:   fault.Rule{Node: fault.AnyNode, Op: fault.OpConnWrite, Kind: fault.ErrorOnce, After: 11},
 			metric: MetricClientRetries,
 		},
 		{
@@ -297,9 +259,10 @@ func TestStreamClientCancelMidWrite(t *testing.T) {
 	addr, _ := startServer(t, ServerConfig{})
 	before := runtime.NumGoroutine()
 	inj := fault.NewInjector(fault.Plan{Seed: 13, Rules: []fault.Rule{
-		// Skip the handshake and CreateFile writes, then slow every
-		// chunk frame so the deadline lands between chunks.
-		{Node: fault.AnyNode, Op: fault.OpConnWrite, Kind: fault.Delay, Delay: 30 * time.Millisecond, After: 6, Times: 12},
+		// Skip the hello (3 socket writes) and CreateFile (4) writes,
+		// then slow every chunk frame so the deadline lands between
+		// chunks.
+		{Node: fault.AnyNode, Op: fault.OpConnWrite, Kind: fault.Delay, Delay: 30 * time.Millisecond, After: 7, Times: 12},
 	}}, nil)
 	cfg := streamCfg(addr, nil)
 	cfg.Dialer = inj.Dialer(nil)
@@ -326,43 +289,60 @@ func TestStreamClientCancelMidWrite(t *testing.T) {
 	waitNoGoroutineLeak(t, before)
 }
 
-func TestStreamFallsBackOnV2Server(t *testing.T) {
-	// Against a v2-capped daemon the client silently keeps the classic
-	// monolithic path: same bytes, zero streamed operations.
-	addr, _ := startServer(t, ServerConfig{MaxProtoVersion: 2})
-	reg := obs.NewRegistry()
-	c := NewClient(streamCfg(addr, reg))
+// TestProjectedReadStreamSurvivesClientDrop: a client that drops its
+// connection while the daemon is still walking a many-period
+// projection for a read stream must cost the daemon that stream and
+// nothing more. The producer stops at the first chunk it cannot hand
+// over; resuming the walk in the next period would gather into the
+// chunk buffer it already released and bring the process down.
+func TestProjectedReadStreamSurvivesClientDrop(t *testing.T) {
+	addr, _ := startServer(t, ServerConfig{})
+	c := NewClient(ClientConfig{Addr: addr})
 	defer c.Close()
 	ctx := context.Background()
 	if err := c.CreateFile(ctx, &CreateFileReq{Name: "f", Phys: encodeTestPhys(t), Subfiles: []int{0}}); err != nil {
 		t.Fatal(err)
 	}
-	data := make([]byte, 256<<10)
-	rand.New(rand.NewSource(9)).Read(data)
-	hi := int64(len(data)) - 1
-	if err := c.WriteSegments(ctx, &WriteSegsReq{File: "f", Subfile: 0, Lo: 0, Hi: hi, Data: data}); err != nil {
+	// Bytes {0,1} and {4,5} of every 8 over a 1 MiB window: 131072
+	// periods, 256 KiB selected, 4096 chunks of 64 bytes.
+	proj := &redist.Projection{Set: falls.Set{falls.MustLeaf(0, 1, 4, 2)}, Period: 8, Bytes: 4}
+	enc := redist.EncodeProjection(proj)
+	fp := Fingerprint(enc)
+	if err := c.SetView(ctx, fp, enc); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, len(data))
-	if err := c.ReadSegments(ctx, &ReadSegsReq{File: "f", Subfile: 0, Lo: 0, Hi: hi, N: int64(len(data))}, got); err != nil {
+	const window = 1 << 20
+	if err := c.WriteSegments(ctx, &WriteSegsReq{File: "f", Subfile: 0, Lo: 0, Hi: window - 1, Data: make([]byte, window)}); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("fallback read-back differs")
+	before := runtime.NumGoroutine()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	streamed := reg.Counter(MetricClientStreamedOps+`{dir="write"}`).Value() +
-		reg.Counter(MetricClientStreamedOps+`{dir="read"}`).Value()
-	if streamed != 0 {
-		t.Fatalf("%d operations claim to have streamed against a v2 daemon", streamed)
+	if err := WriteFrame(conn, AppendHelloTenant(nil, ProtoVersion3, 0, "")); err != nil {
+		t.Fatal(err)
 	}
-	c.mu.Lock()
-	ver := byte(0)
-	if len(c.idle) > 0 {
-		ver = c.idle[0].ver
+	if _, err := ReadFrame(conn, 0); err != nil {
+		t.Fatal(err)
 	}
-	c.mu.Unlock()
-	if ver != ProtoVersion2 {
-		t.Fatalf("fallback pooled connection at version %d, want %d", ver, ProtoVersion2)
+	req := AppendReadStream(nil, 1, &ReadStreamReq{File: "f", Subfile: 0, Fingerprint: fp,
+		Lo: 0, Hi: window - 1, N: proj.BytesIn(0, window-1), ChunkSize: 64})
+	if err := WriteFrame(conn, req); err != nil {
+		t.Fatal(err)
+	}
+	// The first chunk is on the wire: the producer is mid-walk. Drop
+	// the connection with the rest unread.
+	if _, err := ReadFrame(conn, 0); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	waitNoGoroutineLeak(t, before)
+
+	// The daemon still serves.
+	if n, err := c.Stat(ctx, "f", 0); err != nil || n != window {
+		t.Fatalf("stat after the dropped stream = (%d, %v)", n, err)
 	}
 }
 

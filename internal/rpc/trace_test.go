@@ -21,8 +21,7 @@ import (
 // trace_test.go is the acceptance suite of the distributed-tracing
 // PR: the loopback workload against traced daemons must produce
 // stitched cross-node span trees for write, read and redistribute;
-// with tracing off (or against an old daemon) the wire must carry no
-// tracing messages at all; and a node dying mid-operation must still
+// with tracing off the wire must carry no tracing messages at all; and a node dying mid-operation must still
 // yield a complete tree with the dead node's RPC span marked failed.
 
 // startTracedDaemon runs one in-process daemon with tracing on and
@@ -169,8 +168,8 @@ func checkStitchedTrees(t *testing.T, trees []*obs.TraceTree) {
 	}
 }
 
-// TestTracedWorkloadStitching: classic (monolithic-frame) path, where
-// server spans come back piggybacked on MsgTracedResp.
+// TestTracedWorkloadStitching: unary (monolithic-frame) requests,
+// whose server spans come back piggybacked on MsgTracedResp.
 func TestTracedWorkloadStitching(t *testing.T) {
 	checkStitchedTrees(t, runTracedWorkload(t, rpc.ClientConfig{}))
 }
@@ -186,10 +185,11 @@ func TestTracedStreamedWorkloadStitching(t *testing.T) {
 }
 
 // TestTraceOffNoWireTracing: a client with tracing off against traced
-// daemons must never emit MsgTraced or MsgSpans — the wire stays
-// byte-identical to a pre-tracing build (the request encoders are
-// unchanged; the only tracing bytes possible are these two message
-// types and the hello feature word, which is elided when zero).
+// daemons must never emit MsgTraced or MsgSpans (the request encoders
+// are unchanged; the only tracing bytes possible are these two message
+// types and the hello feature word, which is elided when zero), and
+// neither may a tracing client against a daemon that withholds the
+// feature.
 func TestTraceOffNoWireTracing(t *testing.T) {
 	reg := obs.NewRegistry()
 	addr, _ := startTracedDaemon(t, rpc.ServerConfig{Trace: true, Node: "ion0", Metrics: reg})
@@ -209,38 +209,33 @@ func TestTraceOffNoWireTracing(t *testing.T) {
 			t.Errorf("server saw %d %s messages with client tracing off", n, typ)
 		}
 	}
-}
 
-// TestTraceAgainstOldDaemon: a tracing client against a daemon that
-// neither grants FeatureTrace nor speaks proto v3 (an old build) must
-// complete the workload untraced rather than fail or leak envelopes.
-func TestTraceAgainstOldDaemon(t *testing.T) {
-	reg := obs.NewRegistry()
-	addr, _ := startTracedDaemon(t, rpc.ServerConfig{MaxProtoVersion: 2, Metrics: reg})
+	// The other direction: a tracing client against a daemon that
+	// withholds FeatureTrace completes the workload untraced — no
+	// envelopes, no drains, and local trees without foreign spans.
+	plain, _ := startTracedDaemon(t, rpc.ServerConfig{})
 	creg := obs.NewRegistry()
-	tr, err := rpc.NewTransport([]string{addr}, rpc.Options{
+	tr2, err := rpc.NewTransport([]string{plain}, rpc.Options{
 		Client:  rpc.ClientConfig{Trace: true},
 		Metrics: creg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Close()
+	defer tr2.Close()
 	tracer := obs.NewTracer("client", 32)
-	cfg := clusterfile.DefaultConfig()
-	cfg.Transport = tr
-	cfg.Tracer = tracer
-	runWorkload(t, 64, cfg)
+	cfg2 := clusterfile.DefaultConfig()
+	cfg2.Transport = tr2
+	cfg2.Tracer = tracer
+	runWorkload(t, 64, cfg2)
 	for _, typ := range []string{"traced", "spans"} {
 		if n := creg.Counter(rpc.MetricClientRequests + `{type="` + typ + `"}`).Value(); n != 0 {
-			t.Errorf("client sent %d %s messages to a v2 daemon", n, typ)
+			t.Errorf("client sent %d %s messages to a daemon without FeatureTrace", n, typ)
 		}
 	}
-	// The client still stitched local trees — they just have no
-	// server spans.
 	trees := tracer.Recent()
 	if len(trees) == 0 {
-		t.Fatal("no local trees against an old daemon")
+		t.Fatal("no local trees against an untraced daemon")
 	}
 	for _, tree := range trees {
 		for n := range nodesIn(tree) {

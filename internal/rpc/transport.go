@@ -78,12 +78,11 @@ func (t *Transport) newClient(addr string) *Client {
 }
 
 // Update reconciles the endpoint list after a placement refresh:
-// clients for endpoints still present are kept (their pools and
-// negotiated connections survive), new endpoints get fresh clients,
-// and clients for endpoints no longer in the map are retired — their
-// pooled connections close now, counted under
-// parafile_pool_discards{kind="retired"}, instead of idling until
-// discard caps evict them. Handles open before the update keep their
+// clients for endpoints still present are kept (their connections
+// survive), new endpoints get fresh clients, and clients for endpoints
+// no longer in the map are retired — their connections close now,
+// counted under parafile_pool_discards{kind="retired"}, instead of
+// idling. Handles open before the update keep their
 // client pointers; operations on a retired client fail, which sends
 // the caller back through its placement-refresh path.
 func (t *Transport) Update(addrs []string) {

@@ -12,13 +12,16 @@
 // primitives, so the structures on the wire are the same ones the
 // in-process path computes.
 //
-// The client (client.go) keeps a per-node connection pool with write
-// and read deadlines and bounded exponential-backoff retry; every
-// request is idempotent (writes place the same bytes at the same
-// offsets), which is what makes blind retry after a connection drop
-// safe. The server (server.go) hosts one or more subfile Storage
-// backends per I/O node and drains gracefully on shutdown.
-// transport.go adapts a set of daemons to clusterfile.Transport.
+// There is one protocol generation, v3: every frame carries a CRC32C
+// trailer, and every operation travels as a tagged stream on the one
+// multiplexed connection a client keeps per node (mux.go, stream.go).
+// The client (client.go) adds write and read deadlines and bounded
+// exponential-backoff retry; every request is idempotent (writes place
+// the same bytes at the same offsets), which is what makes blind retry
+// after a connection drop safe. The server (server.go) hosts one or
+// more subfile Storage backends per I/O node and drains gracefully on
+// shutdown. transport.go adapts a set of daemons to
+// clusterfile.Transport.
 package rpc
 
 import (
@@ -37,30 +40,20 @@ import (
 	"parafile/internal/qos"
 )
 
-// ProtoVersion tags every frame; a daemon refuses frames from a newer
-// protocol generation instead of misparsing them. Version 1 is the
-// original bare framing; version 2 appends a CRC32C trailer to every
-// frame (outside the length prefix), so wire corruption surfaces as a
-// typed ErrCorruptFrame instead of a decode failure deep in a payload.
-// The version is negotiated per connection: the client sends a
-// v1-framed MsgHello at dial time, and a v1-only daemon answering with
-// MsgError downgrades the connection instead of breaking it.
-const ProtoVersion = 1
-
-// ProtoVersion2 adds per-frame CRC32C trailers.
-const ProtoVersion2 = 2
-
-// ProtoVersion3 multiplexes: every frame body carries a varint stream
-// id after the type byte, concurrent operations share one connection
-// per node (a reader goroutine demultiplexes responses onto per-stream
-// channels), and large transfers travel as chunked streams
-// (MsgWriteStream/MsgReadStream + chunk frames) so network transmission
-// overlaps with the store-side scatter/gather instead of materializing
-// whole-operation frames. v3 frames keep the v2 CRC32C trailer.
+// ProtoVersion3 is the version byte every frame body starts with; a
+// peer refuses any other value instead of misparsing the frame. Every
+// frame appends a CRC32C trailer of its body (outside the length
+// prefix), so wire corruption surfaces as a typed ErrCorruptFrame
+// instead of a decode failure deep in a payload. A connection opens
+// with a MsgHello/MsgHelloResp exchange; after it every frame body
+// carries a varint stream id after the type byte, concurrent operations
+// share the one connection per node (a reader goroutine demultiplexes
+// responses onto per-stream channels), and large transfers travel as
+// chunked streams (MsgWriteStream/MsgReadStream + chunk frames) so
+// network transmission overlaps with the store-side scatter/gather
+// instead of materializing whole-operation frames. Every binary ships
+// from this module, so there is no other version to speak.
 const ProtoVersion3 = 3
-
-// MaxProtoVersion is the newest generation this build speaks.
-const MaxProtoVersion = ProtoVersion3
 
 // DefaultMaxFrame bounds a frame body (type byte + payload). Large
 // enough for any demo/benchmark payload, small enough to stop a
@@ -78,29 +71,27 @@ const (
 	// MsgPing is the lightweight liveness probe the circuit breaker
 	// uses in half-open state; it touches no file state.
 	MsgPing byte = 0x07
-	// MsgHello negotiates the connection's protocol version: the
-	// client names the newest generation it speaks, the server answers
-	// with min(client, server). Always sent v1-framed so a v1-only
-	// daemon parses it (and rejects it with MsgError, which the client
-	// treats as "speak v1").
+	// MsgHello opens every connection: the client names the protocol
+	// version and the feature bits it wants, the daemon answers
+	// MsgHelloResp with the version and the bits it grants. It is the
+	// one frame that carries no stream id.
 	MsgHello byte = 0x08
 	// MsgChecksum asks for the CRC32C of a subfile byte range; bytes
 	// beyond the current length count as zeroes. Scrub compares
 	// replicas with it without shipping the data.
 	MsgChecksum byte = 0x09
-	// MsgWriteStream opens a chunked scatter (proto v3 only): same
-	// addressing as MsgWriteSegs but the data follows as MsgWriteChunk
-	// frames on the same stream id, so the server scatters while later
-	// chunks are still in flight. The server answers once, after the
-	// last chunk.
+	// MsgWriteStream opens a chunked scatter: same addressing as
+	// MsgWriteSegs but the data follows as MsgWriteChunk frames on the
+	// same stream id, so the server scatters while later chunks are
+	// still in flight. The server answers once, after the last chunk.
 	MsgWriteStream byte = 0x0A
 	// MsgWriteChunk carries one slice of a write stream's data:
 	// [flags byte][bytes]. flagChunkLast marks the final slice,
 	// flagChunkAbort cancels the stream without a server reply.
 	MsgWriteChunk byte = 0x0B
-	// MsgReadStream opens a chunked gather (proto v3 only): same
-	// addressing as MsgReadSegs plus the chunk size the client wants;
-	// the server answers with MsgDataChunk frames.
+	// MsgReadStream opens a chunked gather: same addressing as
+	// MsgReadSegs plus the chunk size the client wants; the server
+	// answers with MsgDataChunk frames.
 	MsgReadStream byte = 0x0C
 	// MsgTraced is the tracing envelope: [uvarint trace id][uvarint
 	// parent span id][inner type][inner payload]. The server runs the
@@ -123,8 +114,8 @@ const (
 )
 
 // Metadata-service request types (handled by parafilemd, not by the
-// data daemons; they share the framing, hello negotiation and error
-// encoding with the storage protocol).
+// data daemons; they share the framing, hello, connection loop and
+// error encoding with the storage protocol).
 const (
 	MsgMetaCreate byte = 0x20
 	MsgMetaOpen   byte = 0x21
@@ -190,25 +181,22 @@ const (
 	MsgError     byte = 0x1F
 )
 
-// Feature bits exchanged in the hello negotiation (a uvarint bitmask
-// trailing the version; absent means zero, so pre-feature daemons and
-// clients interoperate unchanged).
+// Feature bits exchanged in the hello (a uvarint bitmask trailing the
+// version; absent means zero). A daemon grants the subset it serves:
+// parafilemd grants only FeaturePlacement, and parafiled grants
+// FeatureTrace only when tracing is on.
 const (
 	// FeatureTrace: the peer accepts MsgTraced envelopes, trace IDs on
 	// stream-open requests, and MsgSpans drains.
 	FeatureTrace uint64 = 1 << 0
 	// FeaturePlacement: the peer accepts placement-epoch fields on
 	// data-path requests, checks them against each store's current
-	// epoch, and understands MsgEpoch. Clients only stamp epochs on
-	// connections where this bit came back granted, so the wire stays
-	// byte-identical against old daemons.
+	// epoch, and understands MsgEpoch.
 	FeaturePlacement uint64 = 1 << 1
 	// FeatureTenant: the hello request carries a tenant name (a string
 	// trailing the feature mask) keying the daemon's fair-share
-	// admission scheduler. Granted means the daemon recorded it;
-	// legacy daemons reject the unknown trailing field, which the
-	// dialer handles by retrying the hello without it. Clients without
-	// a tenant never set the bit, so their hello stays byte-identical.
+	// admission scheduler. Granted means the daemon recorded it.
+	// Clients without a tenant never set the bit.
 	FeatureTenant uint64 = 1 << 2
 )
 
@@ -394,17 +382,17 @@ func (e *RemoteError) Is(target error) bool {
 // ErrCorrupt wraps every wire-decoding failure.
 var ErrCorrupt = fmt.Errorf("rpc: corrupt frame")
 
-// ErrCorruptFrame marks a v2 frame whose CRC32C trailer did not match
+// ErrCorruptFrame marks a frame whose CRC32C trailer did not match
 // its body: the frame was damaged in flight, not malformed by a peer.
 // The client treats it like a connection-level failure — drop the
 // connection and retry the idempotent request — instead of surfacing a
 // decode error.
 var ErrCorruptFrame = fmt.Errorf("%w: frame checksum mismatch", ErrCorrupt)
 
-// frameCastagnoli is the CRC32C table of the v2 frame trailer.
+// frameCastagnoli is the CRC32C table of the frame trailer.
 var frameCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// FrameChecksum is the CRC32C a v2 frame's trailer carries for body.
+// FrameChecksum is the CRC32C a frame's trailer carries for body.
 func FrameChecksum(body []byte) uint32 {
 	return crc32.Checksum(body, frameCastagnoli)
 }
@@ -466,51 +454,22 @@ func putFrameBuf(b []byte) {
 	frameBufPool.Put(&b)
 }
 
-// WriteFrame writes one frame: a 4-byte big-endian body length, then
-// the body (version byte, type byte, payload). Frames whose version
-// byte is 2 or newer additionally carry a 4-byte big-endian CRC32C
-// trailer of the body; the trailer travels outside the length prefix,
-// so a v1 length parser reading a v2 stream desynchronizes loudly
-// instead of silently truncating payloads.
+// WriteFrame writes one frame: a 4-byte big-endian body length, the
+// body (version byte, type byte, payload), then a 4-byte big-endian
+// CRC32C trailer of the body. The trailer travels outside the length
+// prefix.
 func WriteFrame(w io.Writer, body []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(body); err != nil {
-		return err
-	}
-	if len(body) > 0 && body[0] >= ProtoVersion2 {
-		var sum [4]byte
-		binary.BigEndian.PutUint32(sum[:], FrameChecksum(body))
-		if _, err := w.Write(sum[:]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteFrameV stamps the frame body with the connection's negotiated
-// protocol version, then writes it. Message encoders stamp version 1
-// by default (beginFrame), so this is how a v2 connection upgrades its
-// outgoing frames.
-func WriteFrameV(w io.Writer, body []byte, ver byte) error {
-	if len(body) > 0 && ver >= ProtoVersion {
-		body[0] = ver
-	}
-	return WriteFrame(w, body)
+	return WriteFrameVec(w, body)
 }
 
 // WriteFrameVec writes one frame whose body is the concatenation of
 // parts, without assembling them into a single buffer: the 4-byte
-// length prefix, every part, and (for v2+ versions) the CRC32C trailer
-// travel as one vectored write (writev on a *net.TCPConn via
-// net.Buffers, sequential writes elsewhere). The first part must start
-// with the version byte, which is restamped to ver; the checksum is
-// computed incrementally across parts, so a large data part is never
-// copied into a frame buffer just to be framed.
-func WriteFrameVec(w io.Writer, ver byte, parts ...[]byte) error {
+// length prefix, every part, and the CRC32C trailer travel as one
+// vectored write (writev on a *net.TCPConn via net.Buffers, sequential
+// writes elsewhere). The first part must start with the version byte;
+// the checksum is computed incrementally across parts, so a large data
+// part is never copied into a frame buffer just to be framed.
+func WriteFrameVec(w io.Writer, parts ...[]byte) error {
 	n := 0
 	for _, p := range parts {
 		n += len(p)
@@ -518,32 +477,27 @@ func WriteFrameVec(w io.Writer, ver byte, parts ...[]byte) error {
 	if n == 0 || len(parts[0]) == 0 {
 		return fmt.Errorf("rpc: vectored frame with empty leading part")
 	}
-	parts[0][0] = ver
 	bufs := make(net.Buffers, 0, len(parts)+2)
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(n))
 	bufs = append(bufs, hdr[:])
+	crc := uint32(0)
 	for _, p := range parts {
 		if len(p) > 0 {
 			bufs = append(bufs, p)
+			crc = crc32.Update(crc, frameCastagnoli, p)
 		}
 	}
 	var sum [4]byte
-	if ver >= ProtoVersion2 {
-		crc := uint32(0)
-		for _, p := range parts {
-			crc = crc32.Update(crc, frameCastagnoli, p)
-		}
-		binary.BigEndian.PutUint32(sum[:], crc)
-		bufs = append(bufs, sum[:])
-	}
+	binary.BigEndian.PutUint32(sum[:], crc)
+	bufs = append(bufs, sum[:])
 	_, err := bufs.WriteTo(w)
 	return err
 }
 
-// ReadFrame reads one frame body into a pooled buffer, verifying the
-// CRC32C trailer of v2 frames (a mismatch is ErrCorruptFrame). Callers
-// pass the body to putFrameBuf (or ReleaseFrame) when done with it.
+// ReadFrame reads one frame body into a pooled buffer, verifying its
+// CRC32C trailer (a mismatch is ErrCorruptFrame). Callers pass the
+// body to putFrameBuf (or ReleaseFrame) when done with it.
 func ReadFrame(r io.Reader, maxFrame int64) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -561,16 +515,14 @@ func ReadFrame(r io.Reader, maxFrame int64) ([]byte, error) {
 		putFrameBuf(body)
 		return nil, err
 	}
-	if body[0] >= ProtoVersion2 {
-		var sum [4]byte
-		if _, err := io.ReadFull(r, sum[:]); err != nil {
-			putFrameBuf(body)
-			return nil, err
-		}
-		if binary.BigEndian.Uint32(sum[:]) != FrameChecksum(body) {
-			putFrameBuf(body)
-			return nil, ErrCorruptFrame
-		}
+	var sum [4]byte
+	if _, err := io.ReadFull(r, sum[:]); err != nil {
+		putFrameBuf(body)
+		return nil, err
+	}
+	if binary.BigEndian.Uint32(sum[:]) != FrameChecksum(body) {
+		putFrameBuf(body)
+		return nil, ErrCorruptFrame
 	}
 	return body, nil
 }
@@ -585,15 +537,15 @@ func ParseFrame(body []byte) (msgType byte, payload []byte, err error) {
 	if len(body) < 2 {
 		return 0, nil, fmt.Errorf("%w: %d-byte body", ErrCorrupt, len(body))
 	}
-	if body[0] < ProtoVersion || body[0] > MaxProtoVersion {
-		return 0, nil, fmt.Errorf("%w: protocol version %d, want %d-%d", ErrCorrupt, body[0], ProtoVersion, MaxProtoVersion)
+	if body[0] != ProtoVersion3 {
+		return 0, nil, fmt.Errorf("%w: protocol version %d, want %d", ErrCorrupt, body[0], ProtoVersion3)
 	}
 	return body[1], body[2:], nil
 }
 
 // beginFrame starts a frame body of the given type in buf.
 func beginFrame(buf []byte, msgType byte) []byte {
-	return append(buf, ProtoVersion, msgType)
+	return append(buf, ProtoVersion3, msgType)
 }
 
 func appendString(buf []byte, s string) []byte {
@@ -973,23 +925,9 @@ func DecodeStatResp(payload []byte) (int64, error) {
 	return n, wantEmpty(payload)
 }
 
-// AppendHello encodes the version-negotiation request: the newest
-// protocol generation the client speaks.
-func AppendHello(buf []byte, want byte) []byte {
-	return AppendHelloFeatures(buf, want, 0)
-}
-
-// AppendHelloFeatures encodes the negotiation request with a feature
-// bitmask. A zero mask appends nothing, keeping the request
-// byte-identical to the pre-feature encoding — old daemons reject a
-// trailing field they do not know, so a client only grows the frame
-// when it actually wants a feature.
-func AppendHelloFeatures(buf []byte, want byte, features uint64) []byte {
-	return AppendHelloTenant(buf, want, features, "")
-}
-
-// AppendHelloTenant encodes the negotiation request with a feature
-// bitmask and, when FeatureTenant is set, the tenant name trailing it.
+// AppendHelloTenant encodes the hello: the protocol version, the
+// feature bitmask (elided when zero) and, when FeatureTenant is set,
+// the tenant name trailing it.
 func AppendHelloTenant(buf []byte, want byte, features uint64, tenant string) []byte {
 	buf = beginFrame(buf, MsgHello)
 	buf = codec.AppendUvarint(buf, uint64(want))
@@ -1002,21 +940,9 @@ func AppendHelloTenant(buf []byte, want byte, features uint64, tenant string) []
 	return buf
 }
 
-// DecodeHello decodes a MsgHello payload (features discarded).
-func DecodeHello(payload []byte) (byte, error) {
-	v, _, err := DecodeHelloFeatures(payload)
-	return v, err
-}
-
-// DecodeHelloFeatures decodes a MsgHello payload (tenant discarded).
-func DecodeHelloFeatures(payload []byte) (byte, uint64, error) {
-	v, f, _, err := DecodeHelloTenant(payload)
-	return v, f, err
-}
-
 // DecodeHelloTenant decodes a MsgHello payload. An absent features
-// field decodes as zero, so pre-feature clients parse unchanged; the
-// tenant string is present exactly when FeatureTenant is set.
+// field decodes as zero; the tenant string is present exactly when
+// FeatureTenant is set.
 func DecodeHelloTenant(payload []byte) (byte, uint64, string, error) {
 	v, payload, err := readUvarint(payload)
 	if err != nil {
@@ -1040,15 +966,8 @@ func DecodeHelloTenant(payload []byte) (byte, uint64, string, error) {
 	return byte(v), features, tenant, wantEmpty(payload)
 }
 
-// AppendHelloResp encodes the agreed protocol version.
-func AppendHelloResp(buf []byte, ver byte) []byte {
-	return AppendHelloRespFeatures(buf, ver, 0)
-}
-
-// AppendHelloRespFeatures encodes the agreed version plus the feature
-// bits the server both understands and saw requested. As with the
-// request, a zero mask appends nothing — a client that did not ask
-// for features gets the byte-identical legacy response.
+// AppendHelloRespFeatures encodes the daemon's version plus the
+// feature bits it both serves and saw requested (elided when zero).
 func AppendHelloRespFeatures(buf []byte, ver byte, features uint64) []byte {
 	buf = beginFrame(buf, MsgHelloResp)
 	buf = codec.AppendUvarint(buf, uint64(ver))
@@ -1056,13 +975,6 @@ func AppendHelloRespFeatures(buf []byte, ver byte, features uint64) []byte {
 		buf = codec.AppendUvarint(buf, features)
 	}
 	return buf
-}
-
-// DecodeHelloResp decodes a MsgHelloResp payload (features
-// discarded).
-func DecodeHelloResp(payload []byte) (byte, error) {
-	v, _, err := DecodeHelloRespFeatures(payload)
-	return v, err
 }
 
 // DecodeHelloRespFeatures decodes a MsgHelloResp payload; an absent
@@ -1200,20 +1112,20 @@ func DecodeError(payload []byte) (*RemoteError, error) {
 	return e, wantEmpty(payload)
 }
 
-// --- proto v3: multiplexed streams ---
+// --- multiplexed streams ---
 //
-// On a v3 connection every frame body is [version][type][uvarint
-// stream id][payload]. Unary requests reuse their v1/v2 payload
-// encodings unchanged past the stream id; the chunked-transfer
-// messages below exist only inside v3 streams.
+// After the hello every frame body is [version][type][uvarint stream
+// id][payload]. Unary requests carry the payload encodings above
+// unchanged past the stream id; the chunked-transfer messages below
+// exist only as streams.
 
-// appendStreamHdr begins a v3 frame body: version, type, stream id.
+// appendStreamHdr begins a stream frame body: version, type, stream id.
 func appendStreamHdr(buf []byte, msgType byte, sid uint64) []byte {
 	buf = append(buf, ProtoVersion3, msgType)
 	return codec.AppendUvarint(buf, sid)
 }
 
-// splitStreamFrame splits a v3 frame body past ParseFrame into its
+// splitStreamFrame splits a stream frame body past ParseFrame into its
 // stream id and remaining payload.
 func splitStreamFrame(payload []byte) (uint64, []byte, error) {
 	return readUvarint(payload)
@@ -1256,7 +1168,7 @@ type WriteStreamReq struct {
 	Epoch uint64
 }
 
-// AppendWriteStream encodes req as a v3 frame body on stream sid.
+// AppendWriteStream encodes req as a frame body on stream sid.
 func AppendWriteStream(buf []byte, sid uint64, req *WriteStreamReq) []byte {
 	buf = appendStreamHdr(buf, MsgWriteStream, sid)
 	buf = appendString(buf, req.File)
@@ -1332,7 +1244,7 @@ type ReadStreamReq struct {
 	Epoch uint64
 }
 
-// AppendReadStream encodes req as a v3 frame body on stream sid.
+// AppendReadStream encodes req as a frame body on stream sid.
 func AppendReadStream(buf []byte, sid uint64, req *ReadStreamReq) []byte {
 	buf = appendStreamHdr(buf, MsgReadStream, sid)
 	buf = appendString(buf, req.File)
@@ -1474,14 +1386,6 @@ func ReadSpanRecords(payload []byte) ([]obs.SpanRecord, []byte, error) {
 		recs = append(recs, r)
 	}
 	return recs, payload, nil
-}
-
-// AppendTracedHdr begins a MsgTraced envelope; the caller appends the
-// inner request's type byte and payload after it.
-func AppendTracedHdr(buf []byte, traceID, parent uint64) []byte {
-	buf = beginFrame(buf, MsgTraced)
-	buf = codec.AppendUvarint(buf, traceID)
-	return codec.AppendUvarint(buf, parent)
 }
 
 // DecodeTraced splits a MsgTraced payload into the trace identifiers

@@ -1,7 +1,7 @@
 // Metadata replication wire messages: leader election ballots, log
 // shipping (which doubles as the lease heartbeat), full-state snapshot
 // install, and the replication status probe. They ride the same
-// framing, hello negotiation, and error encoding as everything else;
+// framing, hello, and error encoding as everything else;
 // only parafilemd peers exchange them.
 
 package rpc

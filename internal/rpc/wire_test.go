@@ -311,15 +311,16 @@ func TestFrameLengthBounds(t *testing.T) {
 
 func TestParseFrameVersion(t *testing.T) {
 	body := AppendOK(nil)
-	body[0] = MaxProtoVersion + 1
-	if _, _, err := ParseFrame(body); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("wrong protocol version accepted: %v", err)
-	}
-	body[0] = ProtoVersion2
 	if _, _, err := ParseFrame(body); err != nil {
-		t.Fatalf("v2 body rejected: %v", err)
+		t.Fatalf("v3 body rejected: %v", err)
 	}
-	if _, _, err := ParseFrame([]byte{ProtoVersion}); !errors.Is(err, ErrCorrupt) {
+	for _, v := range []byte{0, 1, 2, ProtoVersion3 + 1} {
+		body[0] = v
+		if _, _, err := ParseFrame(body); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("protocol version %d accepted: %v", v, err)
+		}
+	}
+	if _, _, err := ParseFrame([]byte{ProtoVersion3}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("1-byte body accepted: %v", err)
 	}
 }
@@ -356,7 +357,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(AppendReadSegs(nil, &ReadSegsReq{File: "d", Hi: 7, N: 8}))
 	f.Add(AppendSetView(nil, &SetViewReq{Fingerprint: 1, Proj: []byte{2}}))
 	f.Add(AppendError(nil, ErrCodeIO, "x"))
-	f.Add([]byte{ProtoVersion, MsgOK})
+	f.Add([]byte{ProtoVersion3, MsgOK})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		msgType, payload, err := ParseFrame(body)
 		if err != nil {
